@@ -15,7 +15,8 @@
 //! ```
 //!
 //! * `full` (default) — 120 / 1008 / 10080 / 100800 ranks, both
-//!   executors up to the thread ceiling; writes the JSON record;
+//!   executors up to the thread ceiling; writes the JSON record
+//!   (`BENCH_PR8.json` unless `out.json` is given);
 //! * `ci` — the 1008-rank event-executor smoke, bounded for CI;
 //! * `10k` — the 10080-rank event-executor point alone;
 //! * `100k` — the 100800-rank event-executor point alone (the
@@ -34,7 +35,9 @@
 //!   writes `BENCH_PR10.json` plus an HTML report under `trace_obs/`.
 //!
 //! `--obs` attaches the same streaming-observability comparison to any
-//! mode (CI runs `scale ci --obs` as its bounded-memory smoke).
+//! mode (CI runs `scale ci --obs` as its bounded-memory smoke). Every
+//! mode writes its JSON to `out.json` when one is given; only `full`,
+//! `obs` and `causal` also write when it is not.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -229,9 +232,12 @@ fn main() {
         run_obs(&mode, &out_path);
         return;
     }
-    let out_path = positional
-        .get(1)
-        .map_or_else(|| "BENCH_PR8.json".to_string(), |s| (*s).clone());
+    // `full` writes its record to the default path; every mode writes
+    // to an explicitly given one.
+    let out_path = match positional.get(1) {
+        Some(path) => Some((*path).clone()),
+        None => (mode == "full").then(|| "BENCH_PR8.json".to_string()),
+    };
     let event_only = mode != "full" && mode != "fig7";
 
     let mut rows: Vec<Row> = Vec::new();
@@ -316,7 +322,7 @@ fn main() {
     }
 
     let json = render_json(&mode, &rows);
-    if mode == "full" {
+    if let Some(out_path) = out_path {
         std::fs::write(&out_path, &json).expect("write bench json");
         eprintln!("scale: wrote {out_path}");
     }

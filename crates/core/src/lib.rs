@@ -86,7 +86,7 @@ pub mod prelude {
     pub use crate::tuner::Tuning;
     pub use crate::two_phase::TwoPhaseConfig;
     pub use mccio_mem::MemoryModel;
-    pub use mccio_mpiio::{Datatype, Extent, ExtentList, FileView, IoReport};
+    pub use mccio_mpiio::{Datatype, Extent, ExtentList, IoReport};
     pub use mccio_net::{Ctx, RankSet, World};
     pub use mccio_pfs::{FileSystem, PfsParams};
     pub use mccio_sim::fault::{FaultPlan, RetryPolicy};

@@ -468,13 +468,17 @@ mod tests {
 
     #[test]
     fn struct_in_a_file_view_models_record_io() {
-        // A "record" with an 8-byte header hole then 24 bytes of data.
+        // A "record" with an 8-byte header hole then 24 bytes of data:
+        // consecutive records tile at the 32-byte extent.
         let record = Datatype::Struct {
             fields: vec![(8, Datatype::Contiguous { count: 24 })],
         };
-        let view = crate::fileview::FileView::new(0, &record);
-        let e = view.extents_for(0, 48);
-        assert_eq!(e.as_slice(), &[Extent::new(8, 24), Extent::new(40, 24)]);
+        assert_eq!(record.extent(), 32);
+        assert_eq!(record.flatten(0).as_slice(), &[Extent::new(8, 24)]);
+        assert_eq!(
+            record.flatten(record.extent()).as_slice(),
+            &[Extent::new(40, 24)]
+        );
     }
 
     #[test]

@@ -7,8 +7,6 @@
 //!   every layer above;
 //! * [`datatype`] — MPI derived datatypes (contiguous / vector / indexed
 //!   / subarray) flattening to extents;
-//! * [`fileview`] — `(displacement, filetype)` views mapping a rank's
-//!   linear data stream to noncontiguous file extents;
 //! * [`sieve`] — data sieving (large covering accesses + local copies),
 //!   ROMIO's other classic optimization and a building block of the
 //!   two-phase aggregator;
@@ -26,7 +24,6 @@
 pub mod analysis;
 pub mod datatype;
 pub mod extent;
-pub mod fileview;
 pub mod independent;
 pub mod report;
 pub mod sieve;
@@ -34,6 +31,5 @@ pub mod sieve;
 pub use analysis::GroupPattern;
 pub use datatype::{darray_block, Datatype};
 pub use extent::{Extent, ExtentList, ExtentTable, ExtentsView, TouchIndex};
-pub use fileview::FileView;
 pub use report::{IoReport, IoReportBuilder, OpMetrics, Resilience};
 pub use sieve::SieveConfig;

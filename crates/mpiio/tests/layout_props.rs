@@ -1,10 +1,10 @@
-//! Randomized tests on the layout machinery: datatype flattening, file
-//! views, extent algebra, and sieving must all agree with brute-force
-//! reference models. Cases are drawn from the workspace's seeded PRNG,
-//! so a failure reproduces by its printed case index.
+//! Randomized tests on the layout machinery: datatype flattening, extent
+//! algebra, and sieving must all agree with brute-force reference
+//! models. Cases are drawn from the workspace's seeded PRNG, so a
+//! failure reproduces by its printed case index.
 
 use mccio_mpiio::sieve::{sieved_read, sieved_write};
-use mccio_mpiio::{Datatype, Extent, ExtentList, FileView, SieveConfig};
+use mccio_mpiio::{Datatype, Extent, ExtentList, SieveConfig};
 use mccio_pfs::{FileSystem, PfsParams};
 use mccio_sim::rng::{stream_rng, Rng};
 
@@ -96,63 +96,6 @@ fn vector_flatten_matches_enumeration() {
             .collect();
         assert_eq!(flattened, model, "case {case}");
         assert_eq!(flat.total_bytes(), dt.size(), "case {case}");
-    }
-}
-
-#[test]
-fn fileview_tiles_are_the_flattened_type_repeated() {
-    let mut rng = stream_rng(0x1A70, "layout-fileview");
-    for case in 0..96 {
-        // Build a valid indexed type (sorted, disjoint) from raw pairs.
-        let n_blocks = rng.gen_range(1usize..=3);
-        let mut cursor = 0u64;
-        let fields: Vec<(u64, u64)> = (0..n_blocks)
-            .map(|_| {
-                let gap = rng.gen_range(0u64..=5);
-                let len = rng.gen_range(1u64..=7);
-                let d = cursor + gap;
-                cursor = d + len;
-                (d, len)
-            })
-            .collect();
-        let disp = rng.gen_range(0u64..=99);
-        let req_off = rng.gen_range(0u64..=63);
-        let req_len = rng.gen_range(1u64..=127);
-        let dt = Datatype::Indexed {
-            blocks: fields.clone(),
-        };
-        let view = FileView::new(disp, &dt);
-        let got = view.extents_for(req_off, req_len);
-        assert_eq!(got.total_bytes(), req_len, "case {case}");
-        // Reference: enumerate the view's data bytes in order.
-        let tile_size: u64 = fields.iter().map(|&(_, l)| l).sum();
-        let extent = dt.extent();
-        let mut model = Vec::new();
-        let mut produced = 0u64;
-        let mut tile = req_off / tile_size;
-        let mut skip = req_off % tile_size;
-        'outer: loop {
-            for &(d, l) in &fields {
-                for b in 0..l {
-                    if skip > 0 {
-                        skip -= 1;
-                        continue;
-                    }
-                    model.push(disp + tile * extent + d + b);
-                    produced += 1;
-                    if produced == req_len {
-                        break 'outer;
-                    }
-                }
-            }
-            tile += 1;
-        }
-        let got_bytes: Vec<u64> = got
-            .as_slice()
-            .iter()
-            .flat_map(|e| e.offset..e.end())
-            .collect();
-        assert_eq!(got_bytes, model, "case {case}");
     }
 }
 

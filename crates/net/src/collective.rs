@@ -5,9 +5,10 @@
 //! charge no transfer time — the bulk-data phases they coordinate are
 //! priced analytically through [`mccio_sim::CostModel::shuffle_phase`].
 //! The one data-plane collective, [`Ctx::exchange`], moves real payload
-//! bytes but is likewise uncosted, because every caller immediately
-//! follows it with an analytic phase charge; it still updates the traffic
-//! counters so experiments can report shuffle volumes.
+//! bytes but likewise charges no transfer time, because every caller
+//! immediately follows it with an analytic phase charge; it still
+//! updates the data-traffic counters so experiments can report shuffle
+//! volumes.
 //!
 //! Every operation is defined over a [`RankSet`] and must be called by
 //! *all* members of the set, SPMD-style, in the same order — exactly
@@ -203,8 +204,8 @@ impl Ctx {
     /// are. Self-sends short-circuit locally. Returns `(src, payload)`
     /// pairs in `recv_from` order.
     ///
-    /// The exchange is uncosted (callers price the whole phase
-    /// analytically) but is counted in the traffic statistics.
+    /// The exchange charges no transfer time (callers price the whole
+    /// phase analytically) but is counted in the traffic statistics.
     ///
     /// # Panics
     /// Panics if a destination or source is outside the group.
@@ -415,22 +416,28 @@ mod tests {
 
     #[test]
     fn exchange_counts_traffic() {
-        let w = world(2, 2, 4);
-        let _ = w.run(|ctx| {
-            let group = RankSet::world(ctx.size());
-            if ctx.rank() == 0 {
-                let got = ctx.exchange(&group, vec![(2, vec![0u8; 100])], &[]);
-                assert!(got.is_empty());
-            } else if ctx.rank() == 2 {
-                let _ = ctx.exchange(&group, vec![], &[0]);
-            } else {
-                let _ = ctx.exchange(&group, vec![], &[]);
-            }
-        });
-        let t = w.traffic().snapshot();
-        assert_eq!(t.inter_bytes, 100);
-        assert_eq!(t.node_egress[0], 100);
-        assert_eq!(t.node_ingress[1], 100);
+        for kind in BOTH {
+            let w = world_with(2, 2, 4, kind);
+            // Node 0 holds ranks 0-1, node 1 holds ranks 2-3: one
+            // message each way between the nodes plus one within node 0.
+            let _ = w.run(|ctx| {
+                let group = RankSet::world(ctx.size());
+                let (sends, recv_from): (Vec<(usize, Vec<u8>)>, &[usize]) = match ctx.rank() {
+                    0 => (vec![(2, vec![0u8; 100])], &[1]),
+                    1 => (vec![(0, vec![1u8; 7])], &[3]),
+                    2 => (vec![], &[0]),
+                    _ => (vec![(1, vec![3u8; 40])], &[]),
+                };
+                let got = ctx.exchange(&group, sends, recv_from);
+                assert_eq!(got.len(), recv_from.len());
+            });
+            let t = w.traffic().snapshot();
+            assert_eq!(t.data_msgs, 3);
+            assert_eq!(t.inter_bytes, 140);
+            assert_eq!(t.intra_bytes, 7);
+            assert_eq!(t.node_egress, [100, 40]);
+            assert_eq!(t.node_ingress, [40, 100]);
+        }
     }
 
     #[test]

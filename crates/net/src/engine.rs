@@ -12,15 +12,15 @@
 //!
 //! ## Virtual time
 //!
-//! Each rank carries a logical clock. A *costed* send advances the
-//! sender by the per-message software overhead and stamps the envelope
-//! with its departure time; the matching receive advances the receiver to
-//! `max(receiver clock, departure + transfer time)` using the
-//! [`CostModel`]'s point-to-point price. *Control* messages (driver
-//! metadata whose real-world cost is priced analytically by the phase
-//! model) carry causality only: the receiver advances to the departure
-//! time but pays no transfer cost. Wall-clock never enters either path,
-//! which is why both executors produce bit-identical times.
+//! Each rank carries a logical clock, and a message moves its receiver's
+//! clock by one rule: the send stamps the envelope with the sender's
+//! clock (plus any injected control-network delay) as its departure,
+//! and the matching receive advances the receiver to
+//! `max(receiver clock, departure)`. Messages carry causality only —
+//! the bulk-data phases they coordinate are priced analytically at the
+//! root through [`CostModel::shuffle_phase`], so no per-message transfer
+//! time exists to race over. Wall-clock never enters the rule, which is
+//! why both executors produce bit-identical times.
 
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -192,7 +192,8 @@ impl std::fmt::Debug for DecodeCache {
 }
 
 /// The shared communication world: one mailbox per rank plus the cost
-/// model and placement every rank prices messages against.
+/// model and placement every rank prices its phases and local work
+/// against.
 #[derive(Debug)]
 pub struct World {
     placement: Placement,
@@ -332,7 +333,7 @@ impl World {
         &self.placement
     }
 
-    /// The cost model pricing this world's messages.
+    /// The cost model pricing this world's phases and local work.
     #[must_use]
     pub fn cost(&self) -> &CostModel {
         &self.cost
@@ -533,15 +534,6 @@ impl Ctx {
         self.clock += d;
     }
 
-    fn account(&self, dst: usize, bytes: u64, costed: bool) {
-        let t = &self.world.traffic;
-        if !costed {
-            t.ctl_msgs.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        t.account_data(self.node, self.world.placement.node_of(dst), bytes);
-    }
-
     /// Wakes `dst` if it runs as a parked task whose receive now has a
     /// match; a no-op under the threaded executor (deliver notified the
     /// condvar already).
@@ -551,29 +543,9 @@ impl Ctx {
         }
     }
 
-    /// Sends a data-plane message: the sender pays injection overhead and
-    /// the receiver will pay the transfer.
-    pub fn send(&mut self, dst: usize, tag: u32, payload: Vec<u8>) {
-        assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
-        self.clock += VDuration::from_secs(self.world.cost.per_message_overhead);
-        self.account(dst, payload.len() as u64, true);
-        let causal = match self.world.causal.get() {
-            Some(sink) => sink.on_send(self.rank, dst, self.clock, payload.len() as u64, true),
-            None => 0,
-        };
-        self.world.mailboxes[dst].deliver(Envelope {
-            src: self.rank,
-            tag,
-            payload: payload.into(),
-            depart: self.clock,
-            costed: true,
-            causal,
-        });
-        self.notify(dst);
-    }
-
-    /// Sends a control-plane message: causality only, no transfer cost
-    /// (the bulk-data phases it coordinates are priced analytically).
+    /// Sends a message: it carries causality only (see the module docs'
+    /// clock rule), since the bulk-data phases it coordinates are priced
+    /// analytically.
     pub fn send_ctl(&mut self, dst: usize, tag: u32, payload: Vec<u8>) {
         self.send_ctl_payload(dst, tag, payload.into());
     }
@@ -583,13 +555,13 @@ impl Ctx {
     /// clone per destination.
     pub(crate) fn send_ctl_payload(&mut self, dst: usize, tag: u32, payload: Payload) {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
-        self.account(dst, payload.len() as u64, false);
+        self.world.traffic.ctl_msgs.fetch_add(1, Ordering::Relaxed);
         // An injected control-network delay shifts the departure stamp:
         // the receiver's causality rule (max with depart) then charges it
         // in virtual time without any wall-clock sleeping.
         let depart = self.clock + self.world.ctl_delay();
         let causal = match self.world.causal.get() {
-            Some(sink) => sink.on_send(self.rank, dst, self.clock, payload.len() as u64, false),
+            Some(sink) => sink.on_send(self.rank, dst, self.clock, payload.len() as u64),
             None => 0,
         };
         self.world.mailboxes[dst].deliver(Envelope {
@@ -597,26 +569,16 @@ impl Ctx {
             tag,
             payload,
             depart,
-            costed: false,
             causal,
         });
         self.notify(dst);
     }
 
+    /// The one clock rule for every delivery: the receiver advances to
+    /// the message's departure if that is later.
     fn settle(&mut self, env: &Envelope) {
         let before = self.clock;
-        if env.costed {
-            let src_node = self.world.placement.node_of(env.src);
-            let d = self.world.cost.pt2pt(
-                env.payload.len() as u64,
-                src_node == self.node,
-                src_node,
-                self.node,
-            );
-            self.clock = self.clock.max(env.depart + d);
-        } else {
-            self.clock = self.clock.max(env.depart);
-        }
+        self.clock = self.clock.max(env.depart);
         if env.causal != 0 {
             if let Some(sink) = self.world.causal.get() {
                 sink.on_delivery(env.src, env.causal, self.rank, before, self.clock);
@@ -745,24 +707,22 @@ mod tests {
             let w = world_with(2, 1, 2, kind);
             let results = w.run(|ctx| {
                 if ctx.rank() == 0 {
-                    ctx.send(1, 1, vec![42; 1024]);
+                    ctx.advance(VDuration::from_secs(0.5));
+                    ctx.send_ctl(1, 1, vec![42; 1024]);
                     let back = ctx.recv(1, 2);
                     (back.len(), ctx.clock().as_secs())
                 } else {
                     let msg = ctx.recv(0, 1);
-                    ctx.send(0, 2, msg);
+                    ctx.advance(VDuration::from_secs(0.25));
+                    ctx.send_ctl(0, 2, msg);
                     (0, ctx.clock().as_secs())
                 }
             });
             assert_eq!(results[0].0, 1024);
-            // Two inter-node hops: time strictly positive on both ranks.
-            assert!(results[0].1 > 0.0);
-            assert!(results[1].1 > 0.0);
-            let t = w.traffic().snapshot();
-            assert_eq!(t.data_msgs, 2);
-            assert_eq!(t.inter_bytes, 2048);
-            assert_eq!(t.node_egress[0], 1024);
-            assert_eq!(t.node_ingress[0], 1024);
+            // Each hop pulls the receiver up to the sender's clock.
+            assert_eq!(results[1].1, 0.75);
+            assert_eq!(results[0].1, 0.75);
+            assert_eq!(w.traffic().snapshot().ctl_msgs, 2);
         }
     }
 
@@ -775,11 +735,14 @@ mod tests {
                 ctx.advance(VDuration::from_secs(me as f64 * 0.125));
                 let next = (me + 1) % ctx.size();
                 let prev = (me + ctx.size() - 1) % ctx.size();
-                ctx.send(next, 5, vec![me as u8; 256 * (me + 1)]);
+                ctx.send_ctl(next, 5, vec![me as u8; 256 * (me + 1)]);
                 let got = ctx.recv(prev, 5);
                 assert_eq!(got.len(), 256 * (prev + 1));
+                // Distinct per-rank clocks: rank 0 is pulled up to rank
+                // 3's departure, the others keep their own.
+                let settled = ctx.clock().as_secs().to_bits();
                 ctx.barrier();
-                ctx.clock().as_secs().to_bits()
+                (settled, ctx.clock().as_secs().to_bits())
             });
             (clocks, w.traffic().snapshot())
         };
@@ -787,6 +750,8 @@ mod tests {
         let (event, e_snap) = run(ExecutorKind::Event);
         assert_eq!(threaded, event, "virtual clocks must match bit-for-bit");
         assert_eq!(t_snap, e_snap, "traffic must match exactly");
+        let settled: Vec<f64> = threaded.iter().map(|c| f64::from_bits(c.0)).collect();
+        assert_eq!(settled, [0.375, 0.125, 0.25, 0.375]);
     }
 
     #[test]
@@ -828,23 +793,6 @@ mod tests {
     }
 
     #[test]
-    fn costed_transfer_advances_receiver_by_bandwidth() {
-        let w = world(2, 1, 2);
-        let results = w.run(|ctx| {
-            if ctx.rank() == 0 {
-                ctx.send(1, 3, vec![0u8; MIB as usize]);
-            } else {
-                let _ = ctx.recv(0, 3);
-            }
-            ctx.clock().as_secs()
-        });
-        // 1 MiB over 1 GiB/s link ≈ ~1 ms at the receiver.
-        assert!(results[1] > 0.9e-3 && results[1] < 1.5e-3, "{}", results[1]);
-        // Sender only paid injection overhead.
-        assert!(results[0] < 1e-4);
-    }
-
-    #[test]
     fn results_are_in_rank_order() {
         for kind in BOTH {
             let w = world_with(2, 4, 8, kind);
@@ -880,7 +828,7 @@ mod tests {
                     seen.sort_unstable();
                     seen
                 } else {
-                    ctx.send(0, 7, vec![ctx.rank() as u8]);
+                    ctx.send_ctl(0, 7, vec![ctx.rank() as u8]);
                     vec![]
                 }
             });

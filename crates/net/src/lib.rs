@@ -10,16 +10,15 @@
 //! collectives over arbitrary [`RankSet`]s, and keeps a *virtual* clock
 //! per rank:
 //!
-//! * **data-plane** sends ([`Ctx::send`]) are priced by the
-//!   [`mccio_sim::CostModel`] point-to-point rule — the sender pays
-//!   injection overhead, the receiver pays latency + transfer;
-//! * **control-plane** sends ([`Ctx::send_ctl`]) and all collectives move
-//!   driver metadata: they enforce causality (a receiver can never
-//!   observe a message "before" it was sent) but charge no transfer time,
-//!   because collective-I/O drivers price whole shuffle rounds
-//!   analytically with [`mccio_sim::CostModel::shuffle_phase`] — that
-//!   keeps virtual time deterministic regardless of thread scheduling;
-//! * the [`engine::Traffic`] counters record every byte either way, so
+//! * every message ([`Ctx::send_ctl`], and every collective built on it)
+//!   moves its receiver's clock by one rule, `max(clock, depart)`: a
+//!   receiver can never observe a message "before" it was sent, but no
+//!   message charges transfer time of its own, because collective-I/O
+//!   drivers price whole shuffle rounds analytically with
+//!   [`mccio_sim::CostModel::shuffle_phase`] — that keeps virtual time
+//!   deterministic regardless of thread scheduling;
+//! * the [`engine::Traffic`] counters record every message, and the
+//!   payload bytes of the data-plane exchange ([`Ctx::exchange`]), so
 //!   experiments can report shuffle volumes and per-node NIC pressure.
 //!
 //! Message matching follows MPI semantics: receives match on

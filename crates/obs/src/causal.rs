@@ -72,12 +72,9 @@ pub enum SegClass {
     /// Local work on one rank (compute, storage driving, local copies —
     /// everything between two clock bindings).
     Work,
-    /// In-flight time of a control-plane message that bound the
-    /// receiver's clock (barrier/settle causality, injected ctl delay).
+    /// In-flight time of a message that bound the receiver's clock
+    /// (barrier/settle causality, injected ctl delay).
     SyncWait,
-    /// In-flight time of a costed data-plane message that bound the
-    /// receiver's clock (modeled point-to-point transfer).
-    Transfer,
 }
 
 impl SegClass {
@@ -87,7 +84,6 @@ impl SegClass {
         match self {
             SegClass::Work => "work",
             SegClass::SyncWait => "sync-wait",
-            SegClass::Transfer => "transfer",
         }
     }
 }
@@ -98,8 +94,8 @@ impl SegClass {
 /// `from`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BlameSegment {
-    /// The rank whose timeline this slice lies on (for [`SegClass::SyncWait`]
-    /// / [`SegClass::Transfer`] edges: the *receiving* rank).
+    /// The rank whose timeline this slice lies on (for
+    /// [`SegClass::SyncWait`] edges: the *receiving* rank).
     pub rank: u32,
     /// What the time was spent on.
     pub class: SegClass,
@@ -142,7 +138,7 @@ impl BlameChain {
     }
 
     /// Seconds the chain spent waiting on messages in flight
-    /// ([`SegClass::SyncWait`] + [`SegClass::Transfer`]).
+    /// ([`SegClass::SyncWait`]).
     #[must_use]
     pub fn wait_secs(&self) -> f64 {
         self.segments
@@ -230,8 +226,6 @@ pub struct CausalEdge {
     pub seq: u64,
     /// Payload bytes.
     pub bytes: u64,
-    /// True for data-plane (costed) messages.
-    pub costed: bool,
     /// Sender's clock at the send call.
     pub depart: VTime,
     /// Receiver's clock after the settle.
@@ -256,7 +250,6 @@ struct ChainNode {
     pred: Option<Arc<ChainNode>>,
     src: u32,
     dst: u32,
-    costed: bool,
     work_from: VTime,
     work_to: VTime,
     arrive: VTime,
@@ -296,7 +289,6 @@ struct InFlight {
     work_from: VTime,
     work_to: VTime,
     bytes: u64,
-    costed: bool,
 }
 
 /// The online causal aggregate: implements the engine's
@@ -370,13 +362,8 @@ impl CausalAgg {
                 cursor.as_secs().to_bits(),
                 "chain walk must stand at the binding arrival"
             );
-            let class = if n.costed {
-                SegClass::Transfer
-            } else {
-                SegClass::SyncWait
-            };
             let edge_from = clamp(n.work_to);
-            push(n.dst, class, edge_from, cursor);
+            push(n.dst, SegClass::SyncWait, edge_from, cursor);
             cursor = edge_from;
             if cursor.as_secs() > t0.as_secs() {
                 let work_from = clamp(n.work_from);
@@ -461,7 +448,7 @@ impl CausalAgg {
 }
 
 impl CausalSink for CausalAgg {
-    fn on_send(&self, src: usize, _dst: usize, clock: VTime, bytes: u64, costed: bool) -> u64 {
+    fn on_send(&self, src: usize, _dst: usize, clock: VTime, bytes: u64) -> u64 {
         let src = src as u32;
         let (seq, snap) = {
             let mut ranks = self.ranks.lock().expect("causal ranks lock");
@@ -474,7 +461,6 @@ impl CausalSink for CausalAgg {
                     work_from: st.seg_start,
                     work_to: clock,
                     bytes,
-                    costed,
                 },
             )
         };
@@ -504,7 +490,6 @@ impl CausalSink for CausalAgg {
                 dst,
                 seq,
                 bytes: snap.bytes,
-                costed: snap.costed,
                 depart: snap.work_to,
                 arrive: after,
             });
@@ -514,7 +499,6 @@ impl CausalSink for CausalAgg {
                 pred: snap.head,
                 src,
                 dst,
-                costed: snap.costed,
                 work_from: snap.work_from,
                 work_to: snap.work_to,
                 arrive: after,
@@ -645,11 +629,11 @@ pub fn project(
     chain.total().as_secs() - removed
 }
 
-/// The standard speed-of-light scenarios: zero network cost (transfer
-/// and sync-wait edges free), infinite PFS bandwidth (storage-phase
-/// chain time free), and uniform memory ceilings (backoff-phase chain
-/// time free). Phase-gated scenarios need a PR 5 `path` to refine
-/// against; without one they degrade to no-ops.
+/// The standard speed-of-light scenarios: zero network cost (sync-wait
+/// edges free), infinite PFS bandwidth (storage-phase chain time free),
+/// and uniform memory ceilings (backoff-phase chain time free).
+/// Phase-gated scenarios need a critical `path` to refine against;
+/// without one they degrade to no-ops.
 #[must_use]
 pub fn what_ifs(chain: &BlameChain, path: Option<&CriticalPath>) -> Vec<WhatIf> {
     let refined = refine(chain, path);
@@ -760,11 +744,11 @@ mod tests {
     }
 
     /// Drives the sink hooks directly: rank 0 works until 1.0 and
-    /// sends; rank 1 (idle at 0.2) is bound to 1.5 by the transfer.
+    /// sends; rank 1 (idle at 0.2) is bound to 1.5 by the message.
     #[test]
     fn binding_delivery_freezes_sender_work_and_edge() {
         let agg = CausalAgg::new(true);
-        let seq = agg.on_send(0, 1, t(1.0), 64, true);
+        let seq = agg.on_send(0, 1, t(1.0), 64);
         assert_eq!(seq, 1, "per-sender sequence starts at 1");
         agg.on_delivery(0, seq, 1, t(0.2), t(1.5));
         agg.op_end(1, VTime::ZERO, t(2.0), "write");
@@ -773,12 +757,12 @@ mod tests {
         let c = &chains[0];
         c.verify_tiling().expect("bit tiling");
         assert_eq!(c.total().as_secs(), 2.0);
-        // work[0, 1.0] on rank 0 → transfer[1.0, 1.5] on rank 1 →
+        // work[0, 1.0] on rank 0 → sync-wait[1.0, 1.5] on rank 1 →
         // work[1.5, 2.0] on rank 1.
         assert_eq!(c.segments.len(), 3);
         assert_eq!(c.segments[0].rank, 0);
         assert_eq!(c.segments[0].class, SegClass::Work);
-        assert_eq!(c.segments[1].class, SegClass::Transfer);
+        assert_eq!(c.segments[1].class, SegClass::SyncWait);
         assert_eq!(c.segments[1].dur().as_secs(), 0.5);
         assert_eq!(c.segments[2].rank, 1);
         assert_eq!(c.wait_secs(), 0.5);
@@ -791,7 +775,7 @@ mod tests {
     #[test]
     fn early_delivery_is_slack_not_an_edge() {
         let agg = CausalAgg::new(true);
-        let seq = agg.on_send(0, 1, t(0.5), 8, false);
+        let seq = agg.on_send(0, 1, t(0.5), 8);
         // Receiver already past the arrival: no bind.
         agg.on_delivery(0, seq, 1, t(0.9), t(0.9));
         assert_eq!(agg.nodes_created(), 0);
@@ -807,7 +791,7 @@ mod tests {
     #[test]
     fn clamping_truncates_history_before_t0() {
         let agg = CausalAgg::new(false);
-        let s1 = agg.on_send(0, 1, t(1.0), 4, true);
+        let s1 = agg.on_send(0, 1, t(1.0), 4);
         agg.on_delivery(0, s1, 1, t(0.0), t(1.4));
         // Second op window starts at 2.0; rank 1's chain reaches back
         // through the 1.4 bind, which is clamped away entirely.
@@ -827,7 +811,7 @@ mod tests {
         let mut clock = 0.0;
         for i in 0..200_000u64 {
             let (src, dst) = ((i % 2) as usize, ((i + 1) % 2) as usize);
-            let seq = agg.on_send(src, dst, t(clock + 1e-6), 1, false);
+            let seq = agg.on_send(src, dst, t(clock + 1e-6), 1);
             clock += 2e-6;
             agg.on_delivery(src, seq, dst, t(clock - 1e-6), t(clock));
         }
@@ -842,7 +826,7 @@ mod tests {
         // Rank 0 binds ranks 1..=8 at the same settle: every frontier
         // shares rank 0's (empty) chain plus one private node.
         for dst in 1..=8usize {
-            let seq = agg.on_send(0, dst, t(1.0), 0, false);
+            let seq = agg.on_send(0, dst, t(1.0), 0);
             agg.on_delivery(0, seq, dst, t(0.1), t(1.0 + dst as f64 * 1e-9));
         }
         assert_eq!(agg.live_nodes(), 8, "one private node per bound rank");
@@ -851,7 +835,7 @@ mod tests {
     #[test]
     fn identity_reweight_reproduces_the_total_bit_exactly() {
         let agg = CausalAgg::new(false);
-        let s = agg.on_send(0, 1, t(0.3), 16, true);
+        let s = agg.on_send(0, 1, t(0.3), 16);
         agg.on_delivery(0, s, 1, t(0.1), t(0.7));
         agg.op_end(1, VTime::ZERO, t(1.1), "write");
         let c = &agg.chains()[0];
@@ -879,7 +863,7 @@ mod tests {
     #[test]
     fn what_ifs_without_a_path_gate_phase_scenarios_off() {
         let agg = CausalAgg::new(false);
-        let s = agg.on_send(0, 1, t(0.3), 16, true);
+        let s = agg.on_send(0, 1, t(0.3), 16);
         agg.on_delivery(0, s, 1, t(0.1), t(0.7));
         agg.op_end(1, VTime::ZERO, t(1.0), "write");
         let c = &agg.chains()[0];

@@ -431,7 +431,6 @@ fn class_color(class: SegClass) -> &'static str {
     match class {
         SegClass::Work => "#54a24b",
         SegClass::SyncWait => "#888888",
-        SegClass::Transfer => "#4c78a8",
     }
 }
 
@@ -884,13 +883,13 @@ mod tests {
 
         let (events, mut analysis) = sample();
         let agg = CausalAgg::new(true);
-        let seq = agg.on_send(0, 1, VTime::from_secs(0.8), 64, true);
+        let seq = agg.on_send(0, 1, VTime::from_secs(0.8), 64);
         agg.on_delivery(0, seq, 1, VTime::from_secs(0.2), VTime::from_secs(1.2));
         agg.op_end(1, VTime::ZERO, VTime::from_secs(2.0), "write");
         analysis.causal = Some(CausalAnalysis::from_chains(&agg.chains(), &analysis.ops));
         let html = render("causal", &events, &analysis, None);
         assert!(html.contains("Root cause (blame chains)"));
-        assert!(html.contains("transfer"));
+        assert!(html.contains("sync-wait"));
         assert!(html.contains("zero-network"));
         assert!(html.contains("infinite-pfs"));
         assert!(html.contains("uniform-memory"));

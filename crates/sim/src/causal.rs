@@ -9,17 +9,16 @@
 //!
 //! Contract, in causality order:
 //!
-//! 1. [`CausalSink::on_send`] fires in the *sender's* context, after
-//!    the sender has paid its injection cost but before the envelope is
-//!    delivered. It returns a **per-sender** sequence number (≥ 1) the
-//!    engine stamps into the envelope; `(src, seq)` is the edge's
-//!    identity. Sequence numbers are per-sender — a global counter
-//!    would be allocated in wall-clock order under the threaded
+//! 1. [`CausalSink::on_send`] fires in the *sender's* context, before
+//!    the envelope is delivered. It returns a **per-sender** sequence
+//!    number (≥ 1) the engine stamps into the envelope; `(src, seq)` is
+//!    the edge's identity. Sequence numbers are per-sender — a global
+//!    counter would be allocated in wall-clock order under the threaded
 //!    executor and break cross-executor determinism.
 //! 2. [`CausalSink::on_delivery`] fires in the *receiver's* context
 //!    when the matching receive settles the envelope, with the
 //!    receiver's clock before and after the settlement rule
-//!    (`clock = max(clock, arrival)`). `after > before` means the
+//!    (`clock = max(clock, departure)`). `after > before` means the
 //!    message *bound* the receiver's clock — a true happens-before
 //!    edge on the critical path; `after == before` means the message
 //!    arrived early and contributed only slack.
@@ -38,10 +37,7 @@ pub trait CausalSink: Send + Sync + std::fmt::Debug {
     /// clock. Returns the per-sender sequence number (≥ 1) identifying
     /// this message; the engine stamps it into the envelope so the
     /// delivery can be matched back to this send.
-    ///
-    /// `costed` distinguishes data-plane messages (the receiver pays a
-    /// modeled transfer) from control-plane messages (causality only).
-    fn on_send(&self, src: usize, dst: usize, clock: VTime, bytes: u64, costed: bool) -> u64;
+    fn on_send(&self, src: usize, dst: usize, clock: VTime, bytes: u64) -> u64;
 
     /// The message `(src, seq)` settled at `dst`, moving the receiver's
     /// clock from `before` to `after` (equal when the message arrived

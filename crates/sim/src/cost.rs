@@ -21,8 +21,9 @@
 //!   rounds.
 //!
 //! The round time is the max of the serialization terms (they overlap)
-//! plus the latency of the longest dependency chain. Point-to-point
-//! messages outside collective phases use the simpler [`CostModel::pt2pt`].
+//! plus the latency of the longest dependency chain. This is the only
+//! pricing of message traffic: individual messages carry causality but
+//! no cost of their own (see `mccio_net::engine`'s clock rule).
 
 use crate::time::VDuration;
 use crate::topology::{ClusterSpec, Placement};
@@ -52,34 +53,28 @@ struct NodeLoad {
     messages: u64,
 }
 
+/// Software cost per *shuffle* message at an endpoint, seconds. Shuffle
+/// messages carry derived-datatype pieces: matching against many posted
+/// receives, unpacking noncontiguous payloads. ~20 µs is the
+/// small-message regime that makes many-round collective I/O expensive
+/// at scale.
+const SHUFFLE_MESSAGE_OVERHEAD: f64 = 20.0e-6;
+
+/// Per-participant cost of the per-round control collective (the
+/// offset/length alltoall and round synchronization), seconds.
+const SYNC_PER_RANK: f64 = 2.0e-6;
+
 /// Deterministic translator from data-movement volumes to virtual time.
 #[derive(Debug, Clone)]
 pub struct CostModel {
     cluster: ClusterSpec,
-    /// Fixed software cost per message at an endpoint (matching, copies,
-    /// injection), seconds. ~1 µs matches MPI on InfiniBand-class fabrics.
-    pub per_message_overhead: f64,
-    /// Software cost per *shuffle* message at an endpoint, seconds.
-    /// Shuffle messages carry derived-datatype pieces: matching against
-    /// many posted receives, unpacking noncontiguous payloads. ~20 µs is
-    /// the small-message regime that makes many-round collective I/O
-    /// expensive at scale.
-    pub shuffle_message_overhead: f64,
-    /// Per-participant cost of the per-round control collective (the
-    /// offset/length alltoall and round synchronization), seconds.
-    pub sync_per_rank: f64,
 }
 
 impl CostModel {
     /// Builds a cost model over `cluster`.
     #[must_use]
     pub fn new(cluster: ClusterSpec) -> Self {
-        CostModel {
-            cluster,
-            per_message_overhead: 1.0e-6,
-            shuffle_message_overhead: 20.0e-6,
-            sync_per_rank: 2.0e-6,
-        }
+        CostModel { cluster }
     }
 
     /// Cost of one round's control synchronization across `n` ranks:
@@ -90,32 +85,13 @@ impl CostModel {
             return VDuration::ZERO;
         }
         let depth = (usize::BITS - (n - 1).leading_zeros()) as f64;
-        VDuration::from_secs(self.cluster.link_latency * depth + n as f64 * self.sync_per_rank)
+        VDuration::from_secs(self.cluster.link_latency * depth + n as f64 * SYNC_PER_RANK)
     }
 
     /// The cluster this model prices.
     #[must_use]
     pub fn cluster(&self) -> &ClusterSpec {
         &self.cluster
-    }
-
-    /// Cost of a single point-to-point message of `bytes` between two
-    /// ranks; `intra` selects the shared-memory path.
-    #[must_use]
-    pub fn pt2pt(&self, bytes: u64, intra: bool, src_node: usize, dst_node: usize) -> VDuration {
-        if intra {
-            let bw = self.cluster.nodes[src_node].mem_bandwidth;
-            VDuration::from_secs(self.cluster.intra_latency + self.per_message_overhead)
-                + VDuration::transfer(bytes, bw)
-        } else {
-            let bw = self
-                .cluster
-                .link_bandwidth
-                .min(self.cluster.nodes[src_node].nic_bandwidth)
-                .min(self.cluster.nodes[dst_node].nic_bandwidth);
-            VDuration::from_secs(self.cluster.link_latency + self.per_message_overhead)
-                + VDuration::transfer(bytes, bw)
-        }
     }
 
     /// Prices one shuffle round described by `flows`.
@@ -187,8 +163,7 @@ impl CostModel {
             let nic = VDuration::transfer(nic_bytes, spec.nic_bandwidth);
             let factor = mem_factor.get(node).copied().unwrap_or(1.0);
             let dram = VDuration::transfer(load.dram, spec.mem_bandwidth) * factor.max(1.0);
-            let software =
-                VDuration::from_secs(load.messages as f64 * self.shuffle_message_overhead);
+            let software = VDuration::from_secs(load.messages as f64 * SHUFFLE_MESSAGE_OVERHEAD);
             if verbose && (nic > serialization || dram > serialization || software > serialization)
             {
                 eprintln!(
@@ -231,16 +206,6 @@ mod tests {
         let cluster = test_cluster(nodes, cores);
         let placement = Placement::new(&cluster, ranks, FillOrder::Block).unwrap();
         (CostModel::new(cluster), placement)
-    }
-
-    #[test]
-    fn pt2pt_inter_node_pays_link_bandwidth() {
-        let (m, _) = setup(2, 2, 4);
-        let d = m.pt2pt(GIB, false, 0, 1);
-        // 1 GiB over a 1 GiB/s link ≈ 1 s.
-        assert!((d.as_secs() - 1.0).abs() < 1e-3, "{d:?}");
-        let intra = m.pt2pt(GIB, true, 0, 0);
-        assert!(intra < d, "shared memory should beat the NIC");
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Rank-scaling benchmark: simulator wall clock vs rank count for both
-//! rank executors, written as JSON (`BENCH_PR8.json`) — the record of
-//! what the discrete-event executor buys at scale.
+//! Rank-scaling runs: the memory-conscious strategy at 1k, 10k and 100k
+//! ranks on both rank executors, with the streaming-observability and
+//! causal-tracing flagships on top. Each mode prints its points as JSON
+//! on stdout; simulator wall time is measured by `perfbench/`, and the
+//! walls printed here are for the log only.
 //!
 //! Each point runs the memory-conscious strategy on a fig7-shaped
 //! platform (testbed nodes of 12 cores, 8 OSTs, Normal(320 MiB, 64 MiB)
@@ -15,35 +17,38 @@
 //! ```
 //!
 //! * `full` (default) — 120 / 1008 / 10080 / 100800 ranks, both
-//!   executors up to the thread ceiling; writes the JSON record
-//!   (`BENCH_PR8.json` unless `out.json` is given);
+//!   executors up to the thread ceiling;
 //! * `ci` — the 1008-rank event-executor smoke, bounded for CI;
-//! * `10k` — the 10080-rank event-executor point alone;
+//! * `10k` — the 10080-rank event-executor point alone, then one pass
+//!   with a streaming sink whose stream cell, fold and retain counts and
+//!   virtual write/read times must equal pinned constants exactly;
 //! * `100k` — the 100800-rank event-executor point alone (the
 //!   allocation-free hot-path acceptance gate);
 //! * `obs` — the streaming-observability flagship: the 10k and 100k
 //!   fig7 shapes with a streaming `ObsSink` and the host-wall profiler
 //!   on, asserting virtual-time bit-identity obs on/off, bounded obs
-//!   allocations, and host-wall overhead under threshold; writes
-//!   `BENCH_PR9.json` plus per-point HTML reports under `trace_obs/`;
+//!   allocations, host-wall overhead under threshold, and a stream cell
+//!   count that does not grow with ranks; writes per-point HTML reports
+//!   under `trace_obs/`;
 //! * `causal` — the causal-tracing flagship: the 10k fig7 shape under
 //!   a deterministic 5 µs control-plane latency (so clocks genuinely
 //!   diverge and blame chains hop ranks) with a *streaming* sink and
 //!   causal tracing armed, asserting virtual-time bit-identity causal
 //!   on/off, the same fixed obs allocation budget, host-wall overhead
 //!   under threshold, and non-degenerate cross-rank blame chains;
-//!   writes `BENCH_PR10.json` plus an HTML report under `trace_obs/`.
+//!   writes an HTML report under `trace_obs/`.
 //!
 //! `--obs` attaches the same streaming-observability comparison to any
-//! mode (CI runs `scale ci --obs` as its bounded-memory smoke). Every
-//! mode writes its JSON to `out.json` when one is given; only `full`,
-//! `obs` and `causal` also write when it is not.
+//! mode (CI runs `scale ci --obs` as its bounded-memory smoke). The JSON
+//! always goes to stdout, and also to `out.json` when a path is given;
+//! the `--obs` and `causal` runs also leave a copy under `trace_obs/`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use mccio_bench::{paper_pair, run_on, run_on_traced, run_on_traced_faulty, Platform};
+use mccio_core::Strategy;
 use mccio_net::ExecutorKind;
 use mccio_obs::{analyze, report, ObsSink, StreamConfig};
 use mccio_sim::fault::FaultPlan;
@@ -58,44 +63,25 @@ use mccio_workloads::Ior;
 /// executor.
 const THREADS_MAX_RANKS: usize = 2048;
 
-/// Counting wrapper around the system allocator (diagnostic; printed
-/// per point so allocation churn regressions are visible in the log).
+/// Counting wrapper around the system allocator: the per-point
+/// allocation line in the log and the obs allocation budget read it.
 struct CountingAlloc;
 
-static TRACE_BUCKET: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(usize::MAX);
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static BIG_ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-static SIZE_HIST: [AtomicU64; 33] = [const { AtomicU64::new(0) }; 33];
-static SIZE_BYTES: [AtomicU64; 33] = [const { AtomicU64::new(0) }; 33];
-
-thread_local! {
-    static IN_TRACE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+fn count_alloc(size: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOC_BYTES.fetch_add(size as u64, Ordering::Relaxed);
+    if size >= 128 * 1024 {
+        BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        if layout.size() >= 128 * 1024 {
-            BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        let b = (64 - (layout.size() as u64).leading_zeros() as usize).min(32);
-        let n = SIZE_HIST[b].fetch_add(1, Ordering::Relaxed);
-        SIZE_BYTES[b].fetch_add(layout.size() as u64, Ordering::Relaxed);
-        if TRACE_BUCKET.load(Ordering::Relaxed) == b
-            && n % 5_000 == 7
-            && IN_TRACE.with(|f| !f.replace(true))
-        {
-            eprintln!(
-                "--- alloc {} bytes (bucket {b}) ---\n{}",
-                layout.size(),
-                std::backtrace::Backtrace::force_capture()
-            );
-            IN_TRACE.with(|f| f.set(false));
-        }
+        count_alloc(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -107,30 +93,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
     // coroutine stack slab, the file image) with an eager fault storm
     // the real program never pays.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        if layout.size() >= 128 * 1024 {
-            BIG_ALLOCS.fetch_add(1, Ordering::Relaxed);
-        }
-        let b = (64 - (layout.size() as u64).leading_zeros() as usize).min(32);
-        SIZE_HIST[b].fetch_add(1, Ordering::Relaxed);
-        SIZE_BYTES[b].fetch_add(layout.size() as u64, Ordering::Relaxed);
+        count_alloc(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-fn dump_size_hist() {
-    for b in 0..33 {
-        let n = SIZE_HIST[b].load(Ordering::Relaxed);
-        if n > 0 {
-            eprintln!(
-                "  size<2^{b:<2} n={n:<10} {} MiB",
-                SIZE_BYTES[b].load(Ordering::Relaxed) / (1024 * 1024)
-            );
-        }
     }
 }
 
@@ -206,38 +173,31 @@ const OBS_MAX_OVERHEAD: f64 = 0.10;
 /// Exemplar rank lanes the streaming sink keeps at full fidelity.
 const OBS_EXEMPLARS: u32 = 8;
 
+// `scale 10k`'s streaming pass: the exact stream counters and virtual
+// times (as bits) of the 10,080-rank point under
+// `StreamConfig::for_ranks(10_080, OBS_EXEMPLARS)`.
+const STREAM_10K_CELLS: usize = 12;
+const STREAM_10K_FOLDED: u64 = 65_134;
+const STREAM_10K_RETAINED: u64 = 90;
+const STREAM_10K_WRITE_BITS: u64 = 0x3fc5_1de1_cc7f_e788; // 0.164974427 s
+const STREAM_10K_READ_BITS: u64 = 0x3fc0_e824_7b51_20cc; // 0.132084427 s
+
 fn main() {
-    if let Ok(b) = std::env::var("SCALE_TRACE_BUCKET") {
-        if let Ok(b) = b.parse::<usize>() {
-            TRACE_BUCKET.store(b, Ordering::Relaxed);
-        }
-    }
     let args: Vec<String> = std::env::args().skip(1).collect();
     let obs_flag = args.iter().any(|a| a == "--obs");
     let positional: Vec<&String> = args.iter().filter(|a| *a != "--obs").collect();
     let mode = positional
         .first()
         .map_or_else(|| "full".to_string(), |s| (*s).clone());
+    let out_path = positional.get(1).map(|s| s.as_str());
     if mode == "causal" {
-        let out_path = positional
-            .get(1)
-            .map_or_else(|| "BENCH_PR10.json".to_string(), |s| (*s).clone());
-        run_causal(&mode, &out_path);
+        run_causal(&mode, out_path);
         return;
     }
     if obs_flag || mode == "obs" {
-        let out_path = positional
-            .get(1)
-            .map_or_else(|| "BENCH_PR9.json".to_string(), |s| (*s).clone());
-        run_obs(&mode, &out_path);
+        run_obs(&mode, out_path);
         return;
     }
-    // `full` writes its record to the default path; every mode writes
-    // to an explicitly given one.
-    let out_path = match positional.get(1) {
-        Some(path) => Some((*path).clone()),
-        None => (mode == "full").then(|| "BENCH_PR8.json".to_string()),
-    };
     let event_only = mode != "full" && mode != "fig7";
 
     let mut rows: Vec<Row> = Vec::new();
@@ -270,9 +230,6 @@ fn main() {
                 (a1.1 - a0.1) / (1024 * 1024),
                 a1.2 - a0.2
             );
-            if std::env::var_os("SCALE_ALLOC_HIST").is_some() {
-                dump_size_hist();
-            }
             eprintln!(
                 "  {wall:.3}s wall, virtual write {:.6}s, rounds {}, shuffle {} MiB, msgs {}",
                 r.write_secs,
@@ -300,6 +257,9 @@ fn main() {
                 read_mbps: r.read_mbps(),
             });
         }
+        if mode == "10k" {
+            check_stream_pass(&workload, &*strategy, &platform, ranks);
+        }
     }
 
     // Wherever both engines ran a point, their virtual times must agree
@@ -321,12 +281,54 @@ fn main() {
         }
     }
 
-    let json = render_json(&mode, &rows);
-    if let Some(out_path) = out_path {
-        std::fs::write(&out_path, &json).expect("write bench json");
-        eprintln!("scale: wrote {out_path}");
+    emit_json(&render_json(&mode, &rows), out_path);
+}
+
+/// Prints `json` on stdout and, when a path is given, writes it there.
+fn emit_json(json: &str, out_path: Option<&str>) {
+    if let Some(path) = out_path {
+        std::fs::write(path, json).expect("write bench json");
+        eprintln!("scale: wrote {path}");
     }
     println!("{json}");
+}
+
+/// Runs one pass with a streaming sink and requires its stream cell,
+/// fold and retain counts and its virtual write/read times to equal the
+/// `STREAM_10K_*` constants exactly.
+fn check_stream_pass(workload: &Ior, strategy: &dyn Strategy, platform: &Platform, ranks: usize) {
+    eprintln!("scale[10k]: streaming pass ...");
+    let sink = ObsSink::streaming(StreamConfig::for_ranks(ranks, OBS_EXEMPLARS));
+    let r = run_on_traced(workload, strategy, platform, ExecutorKind::Event, &sink);
+    let agg = sink
+        .stream_stats()
+        .expect("streaming sink has an aggregate");
+    eprintln!(
+        "  stream: {} folded into {} cells, {} retained; virtual write {:.9}s ({:#018x}), \
+         read {:.9}s ({:#018x})",
+        agg.folded_events,
+        agg.cell_count(),
+        agg.retained_events,
+        r.write_secs,
+        r.write_secs.to_bits(),
+        r.read_secs,
+        r.read_secs.to_bits()
+    );
+    assert_eq!(agg.cell_count(), STREAM_10K_CELLS, "stream cells");
+    assert_eq!(agg.folded_events, STREAM_10K_FOLDED, "events folded");
+    assert_eq!(agg.retained_events, STREAM_10K_RETAINED, "events retained");
+    assert_eq!(
+        r.write_secs.to_bits(),
+        STREAM_10K_WRITE_BITS,
+        "virtual write {}",
+        r.write_secs
+    );
+    assert_eq!(
+        r.read_secs.to_bits(),
+        STREAM_10K_READ_BITS,
+        "virtual read {}",
+        r.read_secs
+    );
 }
 
 /// One obs-comparison point: the same shape run obs-off then obs-on
@@ -362,8 +364,8 @@ impl ObsRow {
 /// run with a streaming sink and the host profiler. Asserts virtual
 /// bit-identity, the fixed obs allocation budget, and (at 10k+ ranks)
 /// the host-wall overhead threshold; writes one HTML report per point
-/// under `trace_obs/` and the JSON record when mode is `obs`.
-fn run_obs(mode: &str, out_path: &str) {
+/// under `trace_obs/` and the JSON to `trace_obs/scale_obs.json`.
+fn run_obs(mode: &str, out_path: Option<&str>) {
     std::fs::create_dir_all("trace_obs").expect("create trace_obs");
     let mut rows: Vec<ObsRow> = Vec::new();
     for point in points(mode) {
@@ -518,12 +520,8 @@ fn run_obs(mode: &str, out_path: &str) {
     }
 
     let json = render_obs_json(mode, &rows);
-    if mode == "obs" {
-        std::fs::write(out_path, &json).expect("write obs bench json");
-        eprintln!("scale: wrote {out_path}");
-    }
     std::fs::write("trace_obs/scale_obs.json", &json).expect("write obs json artifact");
-    println!("{json}");
+    emit_json(&json, out_path);
 }
 
 /// Deterministic control-plane latency for the causal flagship. The
@@ -582,8 +580,8 @@ impl CausalRow {
 /// apples. Asserts virtual bit-identity, the fixed obs allocation
 /// budget, the host-wall overhead threshold, and non-degenerate blame
 /// chains (cross-rank hops, exact tiling, clean in-flight table);
-/// writes the JSON record and an HTML report under `trace_obs/`.
-fn run_causal(mode: &str, out_path: &str) {
+/// writes the JSON and an HTML report under `trace_obs/`.
+fn run_causal(mode: &str, out_path: Option<&str>) {
     std::fs::create_dir_all("trace_obs").expect("create trace_obs");
     let mut rows: Vec<CausalRow> = Vec::new();
     for point in points(mode) {
@@ -786,10 +784,8 @@ fn run_causal(mode: &str, out_path: &str) {
     }
 
     let json = render_causal_json(mode, &rows);
-    std::fs::write(out_path, &json).expect("write causal bench json");
-    eprintln!("scale: wrote {out_path}");
     std::fs::write("trace_obs/scale_causal.json", &json).expect("write causal json artifact");
-    println!("{json}");
+    emit_json(&json, out_path);
 }
 
 /// Hand-rolled JSON for the causal comparison rows.

@@ -26,8 +26,8 @@
 //! bounded pool instead of reallocated per window per round. The
 //! schedule reproduces the legacy per-round discovery exactly, so
 //! virtual time, file bytes, and traffic are bit-identical
-//! (`tests/golden_determinism.rs`) while wall-clock drops
-//! (`perf_smoke` in `mccio-bench`).
+//! (`tests/golden_determinism.rs`) while wall-clock drops (measured
+//! by the workspace benchmark, `perfbench/`).
 //!
 //! The module tree separates the phases every operation shares from the
 //! one thing that differs between directions:

@@ -45,8 +45,8 @@ struct Inner {
     /// operation boundaries. Recycled buffers have *exactly* the
     /// capacity a fresh `Vec::with_capacity` would, which keeps the
     /// hit/miss counters below bit-stable — they are pinned exactly by
-    /// the perf regression gate, and must not observe the (scheduling-
-    /// dependent) shared pool state.
+    /// `crates/bench/tests/ci_goldens.rs`, and must not observe the
+    /// (scheduling-dependent) shared pool state.
     shared: Option<Arc<BytePool>>,
     /// Takes served from a retired buffer without allocating.
     hits: u64,

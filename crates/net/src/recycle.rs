@@ -17,8 +17,8 @@
 //! bytes. The strictness is deliberate: a recycled buffer must be
 //! indistinguishable (capacity included) from a fresh allocation,
 //! because the per-rank engine pool makes hit/miss decisions from
-//! buffer capacities and its counters are pinned exactly by the perf
-//! regression gate. Which buffers sit in this shared pool depends on
+//! buffer capacities and its counters are pinned exactly by
+//! `crates/bench/tests/ci_goldens.rs`. Which buffers sit in this shared pool depends on
 //! how ranks interleave; their *capacities* must not. Collective
 //! schedules repeat the same payload and assembly sizes across rounds
 //! and operations, so exact matching still recycles the bulk of the

@@ -11,9 +11,9 @@
 //! Design constraints, in order:
 //!
 //! 1. **Free when off.** Every instrumentation site costs one relaxed
-//!    atomic load and a branch while the profiler is disabled, so the
-//!    tracing-overhead gate (`trace gate`) and the perf-regression gate
-//!    stay meaningful. No `Instant::now()` is ever taken while off.
+//!    atomic load and a branch while the profiler is disabled, so an
+//!    untraced run pays nothing for it (`perfbench/` measures the
+//!    traced/untraced gap). No `Instant::now()` is ever taken while off.
 //! 2. **Observability, not identity.** Host wall times are
 //!    nondeterministic by nature. Like the recycler's hit/miss
 //!    counters, profiles are reported and thresholded, never compared

@@ -29,8 +29,13 @@ fn cfg() -> StreamConfig {
 /// A fixed two-phase write+read on 8 ranks, pinned to `kind`, with
 /// `obs` attached; returns the per-rank `(write, read)` reports.
 fn run_op_on(obs: &ObsSink, kind: ExecutorKind) -> Vec<(IoReport, IoReport)> {
-    let cluster = test_cluster(4, 2);
-    let placement = Placement::new(&cluster, 8, FillOrder::Block).unwrap();
+    run_ranks_on(obs, kind, 8)
+}
+
+/// [`run_op_on`] on `n_ranks` ranks, two per node.
+fn run_ranks_on(obs: &ObsSink, kind: ExecutorKind, n_ranks: usize) -> Vec<(IoReport, IoReport)> {
+    let cluster = test_cluster(n_ranks / 2, 2);
+    let placement = Placement::new(&cluster, n_ranks, FillOrder::Block).unwrap();
     let world = World::with_executor(CostModel::new(cluster.clone()), placement, kind);
     let env = IoEnv::new(
         FileSystem::new(4, 16 * KIB, PfsParams::default()),
@@ -175,4 +180,24 @@ fn causal_fold_is_never_entered_unless_armed() {
     let on = fold_calls();
     hostprof::set_enabled(false);
     assert!(on > off, "armed causal tracing must time every fold");
+}
+
+#[test]
+fn stream_cells_do_not_scale_with_ranks() {
+    // The sink sized the way `scale obs` sizes it, at two rank counts a
+    // decade apart: cells are keyed by (name, virtual time), so the
+    // lock-step bulk of ten times the ranks folds into the same cells.
+    let cells_at = |n_ranks: usize| {
+        let sink = ObsSink::streaming(StreamConfig::for_ranks(n_ranks, 8));
+        run_ranks_on(&sink, ExecutorKind::Event, n_ranks);
+        sink.stream_stats().unwrap().cell_count()
+    };
+    let (small_ranks, big_ranks) = (24, 240);
+    let (small, big) = (cells_at(small_ranks), cells_at(big_ranks));
+    let rank_factor = big_ranks as f64 / small_ranks as f64;
+    assert!(small > 0, "nothing folded at {small_ranks} ranks");
+    assert!(
+        (big as f64) < small as f64 * rank_factor / 2.0,
+        "stream cells scale with ranks: {big} cells at {big_ranks} ranks vs {small} at {small_ranks}"
+    );
 }

@@ -1,6 +1,7 @@
 //! The shared simulation environment a collective operation runs
 //! against: file system, memory model, fault state.
 
+use std::any::Any;
 use std::fmt;
 use std::sync::Arc;
 
@@ -11,7 +12,6 @@ use mccio_pfs::FileSystem;
 use mccio_sim::fault::FaultPlan;
 use mccio_sim::sync::Mutex;
 
-use super::wire::fnv1a;
 use crate::plan::CollectivePlan;
 use crate::resilience::FaultState;
 
@@ -24,14 +24,16 @@ const PLAN_CACHE_CAP: usize = 16;
 ///
 /// The key is pure identity: *which* gathered pattern (by shared-`Arc`
 /// pointer — every rank of a group holds the same decoded pattern, see
-/// [`GroupPattern::gather`]), *which* strategy configuration (an FNV-1a
-/// fingerprint of its debug rendering), and *which* memory-model state
-/// (allocation-version fingerprint, so a re-plan after a revocation
-/// never sees a stale plan). Holding a strong `Arc` to the pattern keeps
-/// the pointer from being recycled while the entry lives.
+/// [`GroupPattern::gather`]), *which* strategy (its value, compared by
+/// type first, so two strategy types never share a plan and two
+/// configurations differing in any field never do either), and *which*
+/// memory-model state (allocation-version fingerprint, so a re-plan
+/// after a revocation never sees a stale plan). Holding a strong `Arc`
+/// to the pattern keeps the pointer from being recycled while the entry
+/// lives.
 struct PlanEntry {
     pattern: Arc<GroupPattern>,
-    strategy_fp: u64,
+    strategy: Box<dyn Any + Send + Sync>,
     mem_fp: (usize, u64),
     plan: Arc<CollectivePlan>,
 }
@@ -125,9 +127,11 @@ impl IoEnv {
         &self.obs
     }
 
-    /// Returns the memoized collective plan for (`pattern`,
-    /// `strategy_key`, current memory state), computing it with
-    /// `compute` on the first call.
+    /// Returns the memoized collective plan for (`pattern`, `strategy`,
+    /// current memory state), computing it with `compute` on the first
+    /// call. `strategy` is the planning strategy's value: a hit needs the
+    /// same type and an equal value, so the hit path neither formats nor
+    /// allocates.
     ///
     /// SPMD redundancy elimination: every rank of a group plans the
     /// identical operation against identical inputs, so the first rank
@@ -142,17 +146,18 @@ impl IoEnv {
     /// for memory-conscious planning: any reservation, revocation, or
     /// restore bumps the fingerprint, so a re-plan ladder rung always
     /// recomputes against the post-revocation landscape.
-    pub fn plan_cached(
+    pub fn plan_cached<S: PartialEq + Clone + Send + Sync + 'static>(
         &self,
         pattern: &Arc<GroupPattern>,
-        strategy_key: &str,
+        strategy: &S,
         compute: impl FnOnce() -> CollectivePlan,
     ) -> Arc<CollectivePlan> {
-        let strategy_fp = fnv1a(strategy_key.as_bytes());
         let mem_fp = self.mem.state_fingerprint();
         let mut entries = self.plans.entries.lock();
         if let Some(e) = entries.iter().find(|e| {
-            e.strategy_fp == strategy_fp && e.mem_fp == mem_fp && Arc::ptr_eq(&e.pattern, pattern)
+            e.mem_fp == mem_fp
+                && Arc::ptr_eq(&e.pattern, pattern)
+                && e.strategy.downcast_ref::<S>() == Some(strategy)
         }) {
             return Arc::clone(&e.plan);
         }
@@ -165,7 +170,7 @@ impl IoEnv {
         }
         entries.push(PlanEntry {
             pattern: Arc::clone(pattern),
-            strategy_fp,
+            strategy: Box::new(strategy.clone()),
             mem_fp,
             plan: Arc::clone(&plan),
         });

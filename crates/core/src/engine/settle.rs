@@ -56,8 +56,8 @@ pub(super) fn settle_round(
         for (node, f) in factors.iter_mut().enumerate() {
             *f *= fault_plan.straggler_factor(node);
         }
-        let cost = ctx.cost().clone();
-        let placement = ctx.placement().clone();
+        let cost = ctx.cost();
+        let placement = ctx.placement();
         for (idx, part) in parts.iter().enumerate() {
             let src = world.members()[idx];
             let facts = decode_facts(part);
@@ -89,7 +89,7 @@ pub(super) fn settle_round(
             integrity += facts.integrity;
         }
         let sync = cost.round_sync(world.len());
-        let shuffle = cost.shuffle_phase(&placement, &flows, &factors);
+        let shuffle = cost.shuffle_phase(placement, &flows, &factors);
         let slowdowns = if fault_plan.has_slow_servers() {
             fault_plan.server_slowdowns(env.fs.n_servers())
         } else {

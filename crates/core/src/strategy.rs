@@ -295,7 +295,7 @@ impl Strategy for IndependentSieved {
 /// independent sieved I/O (`fallbacks = 1` in the report). There is no
 /// re-planning rung — the baseline by definition ignores memory state
 /// when planning, so a second identical plan would fail identically.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TwoPhase(pub TwoPhaseConfig);
 
 impl Strategy for TwoPhase {
@@ -309,8 +309,7 @@ impl Strategy for TwoPhase {
         env: &IoEnv,
         pattern: &Arc<GroupPattern>,
     ) -> Option<Arc<CollectivePlan>> {
-        let key = format!("{}:{:?}", self.name(), self.0);
-        Some(env.plan_cached(pattern, &key, || {
+        Some(env.plan_cached(pattern, self, || {
             plan_two_phase(pattern, ctx.placement(), self.0)
         }))
     }
@@ -354,7 +353,7 @@ impl Strategy for TwoPhase {
 /// and therefore always completes. Every rank descends the ladder
 /// together (reservation verdicts are collective), and the rung finally
 /// used is reported in `IoReport::resilience::fallbacks`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MemoryConscious(pub MccioConfig);
 
 impl MemoryConscious {
@@ -376,8 +375,7 @@ impl Strategy for MemoryConscious {
         env: &IoEnv,
         pattern: &Arc<GroupPattern>,
     ) -> Option<Arc<CollectivePlan>> {
-        let key = format!("{}:{:?}", self.name(), self.0);
-        Some(env.plan_cached(pattern, &key, || {
+        Some(env.plan_cached(pattern, self, || {
             plan_mccio(pattern, ctx.placement(), &env.mem, &self.0)
         }))
     }
@@ -544,6 +542,114 @@ mod tests {
         assert!(!by_name["sieved"]);
         assert!(by_name["two-phase"]);
         assert!(by_name["memory-conscious"]);
+    }
+
+    #[test]
+    fn configs_differing_in_one_field_never_share_a_plan() {
+        let tuning = Tuning {
+            n_ah: 2,
+            msg_ind: MIB,
+            mem_min: 2 * MIB,
+            msg_group: 8 * MIB,
+        };
+        let base = MccioConfig::new(tuning, 256 * KIB, 64 * KIB);
+        let mccio_variants = [
+            MccioConfig {
+                tuning: Tuning { n_ah: 3, ..tuning },
+                ..base
+            },
+            MccioConfig {
+                tuning: Tuning {
+                    msg_ind: 2 * MIB,
+                    ..tuning
+                },
+                ..base
+            },
+            MccioConfig {
+                tuning: Tuning {
+                    mem_min: 4 * MIB,
+                    ..tuning
+                },
+                ..base
+            },
+            MccioConfig {
+                tuning: Tuning {
+                    msg_group: 16 * MIB,
+                    ..tuning
+                },
+                ..base
+            },
+            MccioConfig {
+                buffer_mean: 512 * KIB,
+                ..base
+            },
+            MccioConfig {
+                buffer_stddev: base.buffer_stddev + 1,
+                ..base
+            },
+            MccioConfig {
+                seed: base.seed + 1,
+                ..base
+            },
+            MccioConfig {
+                align: 128 * KIB,
+                ..base
+            },
+        ];
+        let two_phase = TwoPhaseConfig::with_buffer(256 * KIB);
+        let two_phase_variants = [
+            TwoPhaseConfig::with_buffer(512 * KIB),
+            TwoPhaseConfig::layout_aware(256 * KIB, 64 * KIB),
+        ];
+        let mut strategies: Vec<Box<dyn Strategy>> = vec![
+            Box::new(MemoryConscious(base)),
+            Box::new(TwoPhase(two_phase)),
+        ];
+        strategies.extend(
+            mccio_variants
+                .into_iter()
+                .map(|c| Box::new(MemoryConscious(c)) as Box<dyn Strategy>),
+        );
+        strategies.extend(
+            two_phase_variants
+                .into_iter()
+                .map(|c| Box::new(TwoPhase(c)) as Box<dyn Strategy>),
+        );
+
+        let cluster = test_cluster(2, 2);
+        let placement = Placement::new(&cluster, 4, FillOrder::Block).unwrap();
+        let world = World::new(CostModel::new(cluster.clone()), placement);
+        let env = IoEnv::new(
+            FileSystem::new(4, 64 * KIB, PfsParams::default()),
+            MemoryModel::pristine(&cluster),
+        );
+        let plans = world
+            .run(|ctx| {
+                let extents =
+                    ExtentList::normalize(vec![Extent::new(ctx.rank() as u64 * MIB, MIB)]);
+                let pattern =
+                    GroupPattern::gather(ctx, &mccio_net::RankSet::world(ctx.size()), &extents);
+                let plans: Vec<_> = strategies
+                    .iter()
+                    .map(|s| s.plan(ctx, &env, &pattern).expect("collective"))
+                    .collect();
+                // An equal strategy value hits the memo.
+                let again = MemoryConscious(base).plan(ctx, &env, &pattern).unwrap();
+                assert!(Arc::ptr_eq(&again, &plans[0]), "equal config must hit");
+                plans
+            })
+            .pop()
+            .unwrap();
+        for (i, a) in plans.iter().enumerate() {
+            for (j, b) in plans.iter().enumerate().skip(i + 1) {
+                assert!(
+                    !Arc::ptr_eq(a, b),
+                    "{:?} and {:?} shared a plan",
+                    strategies[i],
+                    strategies[j]
+                );
+            }
+        }
     }
 
     #[test]

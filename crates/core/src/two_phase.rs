@@ -20,7 +20,7 @@ use mccio_sim::units::div_ceil;
 use crate::plan::{CollectivePlan, DomainPlan};
 
 /// Baseline configuration.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TwoPhaseConfig {
     /// The fixed collective buffer per aggregator, bytes (ROMIO's
     /// `cb_buffer_size`; the paper's x-axis).

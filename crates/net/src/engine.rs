@@ -360,10 +360,6 @@ impl World {
             .get_or_init(|| Arc::new(crate::group::RankSet::world(self.n_ranks())))
     }
 
-    pub(crate) fn mailbox(&self, rank: usize) -> &Mailbox {
-        &self.mailboxes[rank]
-    }
-
     /// Asserts every mailbox drained — a queued leftover is a protocol
     /// bug in the caller. Both executors run this at shutdown.
     pub(crate) fn check_drained(&self) {
@@ -534,12 +530,12 @@ impl Ctx {
         self.clock += d;
     }
 
-    /// Wakes `dst` if it runs as a parked task whose receive now has a
-    /// match; a no-op under the threaded executor (deliver notified the
-    /// condvar already).
-    fn notify(&self, dst: usize) {
+    /// Wakes `dst` if it runs as a task parked on exactly the message
+    /// just delivered; a no-op under the threaded executor (deliver
+    /// notified the condvar already if a thread was parked).
+    fn notify(&self, dst: usize, delivered: Pattern) {
         if let Some(task) = &self.task {
-            task.notify_delivery(dst, &self.world);
+            task.notify_delivery(dst, delivered);
         }
     }
 
@@ -571,7 +567,13 @@ impl Ctx {
             depart,
             causal,
         });
-        self.notify(dst);
+        self.notify(
+            dst,
+            Pattern {
+                src: self.rank,
+                tag,
+            },
+        );
     }
 
     /// The one clock rule for every delivery: the receiver advances to
@@ -605,10 +607,7 @@ impl Ctx {
 
     /// Blocks for a message from `src` with `tag`; returns the payload.
     pub fn recv(&mut self, src: usize, tag: u32) -> Vec<u8> {
-        let env = self.recv_matched(Pattern {
-            src: Some(src),
-            tag,
-        });
+        let env = self.recv_matched(Pattern { src, tag });
         self.settle(&env);
         env.payload.into_vec()
     }
@@ -618,20 +617,9 @@ impl Ctx {
     /// never copied and its identity can key per-world decode caches.
     /// Clock and traffic behave exactly like [`Ctx::recv`].
     pub fn recv_shared(&mut self, src: usize, tag: u32) -> Arc<[u8]> {
-        let env = self.recv_matched(Pattern {
-            src: Some(src),
-            tag,
-        });
+        let env = self.recv_matched(Pattern { src, tag });
         self.settle(&env);
         env.payload.into_shared()
-    }
-
-    /// Blocks for a message with `tag` from any source; returns
-    /// `(src, payload)`.
-    pub fn recv_any(&mut self, tag: u32) -> (usize, Vec<u8>) {
-        let env = self.recv_matched(Pattern { src: None, tag });
-        self.settle(&env);
-        (env.src, env.payload.into_vec())
     }
 
     /// Deadline-bounded receive from `src`: the failure-detection
@@ -652,10 +640,7 @@ impl Ctx {
     /// # Errors
     /// [`SimError::RankFailed`] when no matching message arrived.
     pub fn recv_deadline(&mut self, src: usize, tag: u32, deadline: VTime) -> SimResult<Vec<u8>> {
-        let pattern = Pattern {
-            src: Some(src),
-            tag,
-        };
+        let pattern = Pattern { src, tag };
         let got = match &self.task {
             None => {
                 const DETECT_WALL_BUDGET: std::time::Duration = std::time::Duration::from_millis(2);
@@ -815,25 +800,54 @@ mod tests {
     }
 
     #[test]
-    fn recv_any_reports_source() {
-        for kind in BOTH {
-            let w = world_with(1, 4, 4, kind);
-            let r = w.run(|ctx| {
-                if ctx.rank() == 0 {
-                    let mut seen = Vec::new();
-                    for _ in 0..3 {
-                        let (src, _) = ctx.recv_any(7);
-                        seen.push(src);
+    fn receives_match_exact_pairs_out_of_arrival_order() {
+        // Case 1: rank 0 parks on (2, 5) while (1, 7) and (1, 5) arrive,
+        // neither of which may satisfy it; (2, 5) arrives last. Case 2:
+        // three (1, 5) messages queue behind one inline head before rank
+        // 0 receives any of them, and must drain in send order.
+        let run = |kind| {
+            let w = world_with(1, 3, 3, kind);
+            w.run(|ctx| {
+                let mut got = Vec::new();
+                match ctx.rank() {
+                    0 => {
+                        for (src, tag) in [(2, 5), (1, 5), (1, 7), (1, 8), (1, 5), (1, 5), (1, 5)] {
+                            let payload = ctx.recv(src, tag);
+                            got.push((payload, ctx.clock().as_secs().to_bits()));
+                        }
                     }
-                    seen.sort_unstable();
-                    seen
-                } else {
-                    ctx.send_ctl(0, 7, vec![ctx.rank() as u8]);
-                    vec![]
+                    1 => {
+                        ctx.advance(VDuration::from_secs(1.0));
+                        ctx.send_ctl(0, 7, vec![17]);
+                        ctx.advance(VDuration::from_secs(1.0));
+                        ctx.send_ctl(0, 5, vec![15]);
+                        // Only now may rank 2 send its (2, 5).
+                        ctx.send_ctl(2, 9, Vec::new());
+                        for byte in [b'a', b'b', b'c'] {
+                            ctx.advance(VDuration::from_secs(1.0));
+                            ctx.send_ctl(0, 5, vec![byte]);
+                        }
+                        ctx.send_ctl(0, 8, Vec::new());
+                    }
+                    _ => {
+                        let _ = ctx.recv(1, 9);
+                        ctx.send_ctl(0, 5, vec![25]);
+                    }
                 }
-            });
-            assert_eq!(r[0], vec![1, 2, 3]);
-        }
+                got
+            })
+        };
+        let threaded = run(ExecutorKind::Threads);
+        let event = run(ExecutorKind::Event);
+        assert_eq!(
+            threaded, event,
+            "payloads and clocks must match bit for bit"
+        );
+        let payloads: Vec<Vec<u8>> = event[0].iter().map(|(p, _)| p.clone()).collect();
+        let expect: [&[u8]; 7] = [&[25], &[15], &[17], &[], b"a", b"b", b"c"];
+        assert_eq!(payloads, expect);
+        let clocks: Vec<f64> = event[0].iter().map(|&(_, c)| f64::from_bits(c)).collect();
+        assert_eq!(clocks, [2.0, 2.0, 2.0, 5.0, 5.0, 5.0, 5.0]);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! smallest virtual clock (ties broken by `(rank, wake-seq)`), and a task
 //! runs until it blocks on an empty mailbox, finishes, or panics. Blocking
 //! receives become yield points — `Ctx::recv` parks the task with its
-//! match [`Pattern`] and the matching `deliver` marks it runnable again —
-//! so a 100k-rank world costs 100k small stacks instead of 100k threads.
+//! match [`Pattern`] and the delivery of exactly that `(src, tag)` marks
+//! it runnable again — so a 100k-rank world costs 100k small stacks
+//! instead of 100k threads.
 //!
 //! ## Determinism
 //!
@@ -367,9 +368,13 @@ impl EventRt {
         }
     }
 
-    /// Sender-side wakeup: if `dst` is parked and the freshly delivered
-    /// message satisfies its pattern, move it to the runnable heap.
-    fn notify_delivery(&self, dst: usize, world: &World) {
+    /// Sender-side wakeup: if `dst` is parked on exactly the `(src, tag)`
+    /// just delivered, move it to the runnable heap. Comparing the two
+    /// patterns is exact, with no mailbox probe: a task parks only after
+    /// its own probe found no match, and the first matching delivery
+    /// after that wakes it, so a parked task's mailbox never already
+    /// holds a match.
+    fn notify_delivery(&self, dst: usize, delivered: Pattern) {
         let mut slots = self.slots.borrow_mut();
         let slot = &mut slots[dst];
         if let TaskState::Blocked {
@@ -378,7 +383,7 @@ impl EventRt {
             ..
         } = slot.state
         {
-            if world.mailbox(dst).has_match(pattern) {
+            if pattern == delivered {
                 if let Some(bits) = deadline_bits {
                     self.waiters.borrow_mut().remove(&(bits, dst));
                 }
@@ -430,9 +435,10 @@ impl TaskHandle {
             .block_with_deadline(self.rank, pattern, deadline, clock)
     }
 
-    /// Called by senders after `Mailbox::deliver`.
-    pub(crate) fn notify_delivery(&self, dst: usize, world: &World) {
-        self.rt.notify_delivery(dst, world);
+    /// Called by senders after `Mailbox::deliver` with the delivered
+    /// envelope's `(src, tag)`.
+    pub(crate) fn notify_delivery(&self, dst: usize, delivered: Pattern) {
+        self.rt.notify_delivery(dst, delivered);
     }
 }
 
@@ -674,7 +680,7 @@ fn deadlock_panic(rt: &EventRt) -> ! {
         .enumerate()
         .filter_map(|(rank, s)| match &s.state {
             TaskState::Blocked { pattern, .. } => Some(format!(
-                "rank {rank} waiting on (src {:?}, tag {:#x})",
+                "rank {rank} waiting on (src {}, tag {:#x})",
                 pattern.src, pattern.tag
             )),
             _ => None,

@@ -21,9 +21,10 @@
 //!   payload bytes of the data-plane exchange ([`Ctx::exchange`]), so
 //!   experiments can report shuffle volumes and per-node NIC pressure.
 //!
-//! Message matching follows MPI semantics: receives match on
-//! `(source, tag)` with non-overtaking order per pair, and `ANY_SOURCE`
-//! receives take the earliest delivered match.
+//! Message matching follows MPI semantics for named sources: receives
+//! match on `(source, tag)` with non-overtaking order per pair. Nothing
+//! in the simulator receives from an unnamed source, so there is no
+//! `ANY_SOURCE`.
 
 #![warn(missing_docs)]
 

@@ -5,18 +5,29 @@
 //! event executor parks tasks instead). `recv` blocks until an envelope
 //! matching `(src, tag)` is present, then removes and returns the
 //! *earliest delivered* match, giving MPI's non-overtaking guarantee for
-//! messages with the same source and tag.
+//! messages with the same source and tag. Every receive names its
+//! source; there is no `ANY_SOURCE`.
 //!
-//! Matching is O(log n) in queued messages rather than a linear scan:
-//! flat collectives funnel `n - 1` messages through the root's mailbox,
-//! so at 10k+ ranks a scan per receive turns every barrier into an
-//! O(n²) hot spot. Exact `(src, tag)` receives hit a per-pair FIFO
-//! directly; `ANY_SOURCE` receives consult a per-tag index ordered by
-//! delivery sequence. Empty per-pair queues are dropped eagerly, so a
-//! mailbox that drained returns its memory instead of holding
-//! high-water-mark capacity for the rest of the run.
+//! Matching is one hash lookup rather than a linear scan: flat
+//! collectives funnel `n - 1` messages through the root's mailbox, so at
+//! 10k+ ranks a scan per receive turns every barrier into an O(n²) hot
+//! spot. The one index maps `(src, tag)` to a FIFO under a small
+//! in-tree hasher (the keys are the simulator's own, so SipHash's
+//! flooding resistance buys nothing). A FIFO keeps its first envelope
+//! inline and spills to a `VecDeque` only while a second same-key
+//! message is queued; an emptied FIFO leaves the map. Once the map has
+//! grown to its high-water mark, a steady-state send and receive
+//! allocates nothing.
+//!
+//! `deliver` calls `notify_all` only when a thread is parked in `recv`:
+//! std's futex condvar makes a syscall on every notify, waiter or not.
+//! The parked count is read and written under the mailbox lock, so a
+//! receiver that found no match is counted before it releases the lock
+//! to wait, and no delivery can slip between its probe and its park.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use mccio_sim::sync::{Condvar, Mutex};
@@ -107,78 +118,95 @@ pub struct Envelope {
     pub causal: u64,
 }
 
-/// Matching criteria for a receive.
-#[derive(Debug, Clone, Copy)]
+/// Matching criteria for a receive: one source rank and one tag.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pattern {
-    /// Required source rank, or `None` for MPI_ANY_SOURCE semantics.
-    pub src: Option<usize>,
+    /// Required source rank.
+    pub src: usize,
     /// Required tag.
     pub tag: u32,
 }
 
+impl Pattern {
+    /// The index key: source in the high half, tag in the low half.
+    fn key(self) -> u64 {
+        ((self.src as u64) << 32) | u64::from(self.tag)
+    }
+}
+
+/// Hasher for [`Pattern::key`]: one folded 64×64→128-bit multiply, so
+/// the bucket bits and the table's control bits both depend on every
+/// key bit. Deterministic, unlike `RandomState`, so a mailbox's table
+/// grows the same way on every run.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        let wide = u128::from(self.0) * 0x9E37_79B9_7F4A_7C15;
+        (wide as u64) ^ ((wide >> 64) as u64)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// The queued envelopes of one `(src, tag)` pair, oldest first.
+#[derive(Debug)]
+struct Fifo {
+    head: Envelope,
+    /// Later same-key envelopes; `VecDeque::new` allocates nothing
+    /// until the first spill.
+    rest: VecDeque<Envelope>,
+}
+
 #[derive(Debug, Default)]
 struct Queue {
-    /// Per-(src, tag) FIFO of `(delivery seq, envelope)`.
-    by_pair: HashMap<(usize, u32), VecDeque<(u64, Envelope)>>,
-    /// Per-tag index of queued messages as `(delivery seq, src)`,
-    /// ordered so ANY_SOURCE takes the earliest delivered match.
-    by_tag: HashMap<u32, BTreeSet<(u64, usize)>>,
+    fifos: HashMap<u64, Fifo, BuildHasherDefault<KeyHasher>>,
     /// Total queued envelopes.
     len: usize,
-    /// Next delivery sequence number.
-    next_seq: u64,
+    /// Threads parked on the condvar in `recv`/`recv_budgeted`.
+    parked: usize,
 }
 
 impl Queue {
     fn push(&mut self, env: Envelope) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.by_tag
-            .entry(env.tag)
-            .or_default()
-            .insert((seq, env.src));
-        self.by_pair
-            .entry((env.src, env.tag))
-            .or_default()
-            .push_back((seq, env));
+        let key = Pattern {
+            src: env.src,
+            tag: env.tag,
+        }
+        .key();
+        match self.fifos.entry(key) {
+            Entry::Occupied(mut fifo) => fifo.get_mut().rest.push_back(env),
+            Entry::Vacant(slot) => {
+                slot.insert(Fifo {
+                    head: env,
+                    rest: VecDeque::new(),
+                });
+            }
+        }
         self.len += 1;
     }
 
-    /// The earliest-delivered queued match, if any, as `(src, tag)`.
-    fn find(&self, pattern: Pattern) -> Option<(usize, u32)> {
-        match pattern.src {
-            Some(src) => self
-                .by_pair
-                .contains_key(&(src, pattern.tag))
-                .then_some((src, pattern.tag)),
-            None => self
-                .by_tag
-                .get(&pattern.tag)
-                .and_then(|set| set.iter().next())
-                .map(|&(_, src)| (src, pattern.tag)),
-        }
-    }
-
-    /// Removes the FIFO head for `key`; `key` must come from `find`.
-    fn pop(&mut self, key: (usize, u32)) -> Envelope {
-        let std::collections::hash_map::Entry::Occupied(mut entry) = self.by_pair.entry(key) else {
-            unreachable!("pop without find");
-        };
-        let (seq, env) = entry.get_mut().pop_front().expect("find returned the key");
-        if entry.get().is_empty() {
-            entry.remove();
-        }
-        let tag_set = self.by_tag.get_mut(&key.1).expect("index in sync");
-        tag_set.remove(&(seq, key.0));
-        if tag_set.is_empty() {
-            self.by_tag.remove(&key.1);
-        }
-        self.len -= 1;
-        env
-    }
-
+    /// Removes and returns the earliest-delivered match, if any. Probes
+    /// with `get_mut` rather than `entry`, which reserves room for an
+    /// insert even on a miss.
     fn take(&mut self, pattern: Pattern) -> Option<Envelope> {
-        self.find(pattern).map(|key| self.pop(key))
+        let key = pattern.key();
+        let fifo = self.fifos.get_mut(&key)?;
+        let env = match fifo.rest.pop_front() {
+            Some(next) => std::mem::replace(&mut fifo.head, next),
+            None => self.fifos.remove(&key).expect("probed above").head,
+        };
+        self.len -= 1;
+        Some(env)
     }
 }
 
@@ -200,10 +228,12 @@ impl Mailbox {
     pub fn deliver(&self, env: Envelope) {
         let mut q = self.queue.lock();
         q.push(env);
-        // Wake all blocked receivers: with one owner thread per mailbox
-        // there is at most one waiter, but collectives on helper threads
-        // must not deadlock if that ever changes.
-        self.available.notify_all();
+        // Wake all parked receivers: with one owner thread per mailbox
+        // there is at most one, but collectives on helper threads must
+        // not deadlock if that ever changes.
+        if q.parked > 0 {
+            self.available.notify_all();
+        }
     }
 
     /// Blocks until a message matching `pattern` arrives, then removes
@@ -215,7 +245,9 @@ impl Mailbox {
             if let Some(env) = q.take(pattern) {
                 return env;
             }
+            q.parked += 1;
             self.available.wait(&mut q);
+            q.parked -= 1;
         }
     }
 
@@ -240,20 +272,15 @@ impl Mailbox {
             }
             // A timed-out wait loops once more: the predicate re-check
             // above decides, so a racing delivery is never missed.
+            q.parked += 1;
             let _ = self.available.wait_timeout(&mut q, remaining);
+            q.parked -= 1;
         }
     }
 
     /// Non-blocking probe: removes and returns a match if one is queued.
     pub fn try_recv(&self, pattern: Pattern) -> Option<Envelope> {
         self.queue.lock().take(pattern)
-    }
-
-    /// True when a matching message is queued (does not remove it).
-    /// The event scheduler's wakeup predicate.
-    #[must_use]
-    pub fn has_match(&self, pattern: Pattern) -> bool {
-        self.queue.lock().find(pattern).is_some()
     }
 
     /// Number of queued (unmatched) messages; used by shutdown checks to
@@ -278,32 +305,21 @@ mod tests {
         }
     }
 
+    fn pat(src: usize, tag: u32) -> Pattern {
+        Pattern { src, tag }
+    }
+
     #[test]
     fn matches_by_src_and_tag() {
         let mb = Mailbox::new();
         mb.deliver(env(1, 10, b'a'));
         mb.deliver(env(2, 10, b'b'));
         mb.deliver(env(1, 20, b'c'));
-        let got = mb.recv(Pattern {
-            src: Some(2),
-            tag: 10,
-        });
+        let got = mb.recv(pat(2, 10));
         assert_eq!(got.payload.as_slice(), b"b");
-        let got = mb.recv(Pattern {
-            src: Some(1),
-            tag: 20,
-        });
+        let got = mb.recv(pat(1, 20));
         assert_eq!(got.payload.as_slice(), b"c");
         assert_eq!(mb.pending(), 1);
-    }
-
-    #[test]
-    fn any_source_takes_earliest_delivered() {
-        let mb = Mailbox::new();
-        mb.deliver(env(3, 7, b'x'));
-        mb.deliver(env(1, 7, b'y'));
-        let got = mb.recv(Pattern { src: None, tag: 7 });
-        assert_eq!(got.src, 3, "earliest delivery wins under ANY_SOURCE");
     }
 
     #[test]
@@ -313,39 +329,48 @@ mod tests {
             mb.deliver(env(0, 5, b));
         }
         for expect in [b'1', b'2', b'3'] {
-            let got = mb.recv(Pattern {
-                src: Some(0),
-                tag: 5,
-            });
+            let got = mb.recv(pat(0, 5));
             assert_eq!(got.payload.into_vec(), vec![expect]);
         }
+        assert_eq!(mb.pending(), 0);
+    }
+
+    #[test]
+    fn spilled_fifo_refills_and_drains_in_order() {
+        // Interleave pushes and pops on one key so the inline head is
+        // replaced from the spill more than once, next to an unrelated
+        // key that must not be disturbed.
+        let mb = Mailbox::new();
+        mb.deliver(env(0, 1, b'a'));
+        mb.deliver(env(1, 1, b'x'));
+        mb.deliver(env(0, 1, b'b'));
+        assert_eq!(mb.recv(pat(0, 1)).payload.as_slice(), b"a");
+        mb.deliver(env(0, 1, b'c'));
+        assert_eq!(mb.recv(pat(0, 1)).payload.as_slice(), b"b");
+        assert_eq!(mb.recv(pat(0, 1)).payload.as_slice(), b"c");
+        assert!(mb.try_recv(pat(0, 1)).is_none());
+        assert_eq!(mb.recv(pat(1, 1)).payload.as_slice(), b"x");
+        assert_eq!(mb.pending(), 0);
+    }
+
+    #[test]
+    fn keys_keep_source_and_tag_apart() {
+        // Swapped source and tag values are different keys.
+        let mb = Mailbox::new();
+        mb.deliver(env(1, 0, b'p'));
+        mb.deliver(env(0, 1, b'q'));
+        assert_eq!(mb.recv(pat(0, 1)).payload.as_slice(), b"q");
+        assert_eq!(mb.recv(pat(1, 0)).payload.as_slice(), b"p");
     }
 
     #[test]
     fn try_recv_does_not_block() {
         let mb = Mailbox::new();
-        assert!(mb.try_recv(Pattern { src: None, tag: 1 }).is_none());
+        assert!(mb.try_recv(pat(0, 1)).is_none());
         mb.deliver(env(0, 1, b'z'));
-        assert!(mb.try_recv(Pattern { src: None, tag: 1 }).is_some());
-        assert!(mb.try_recv(Pattern { src: None, tag: 1 }).is_none());
-    }
-
-    #[test]
-    fn has_match_probes_without_removing() {
-        let mb = Mailbox::new();
-        let pat = Pattern {
-            src: Some(4),
-            tag: 2,
-        };
-        assert!(!mb.has_match(pat));
-        mb.deliver(env(4, 2, b'q'));
-        assert!(mb.has_match(pat));
-        assert!(!mb.has_match(Pattern {
-            src: Some(5),
-            tag: 2
-        }));
-        assert!(mb.has_match(Pattern { src: None, tag: 2 }));
-        assert_eq!(mb.pending(), 1, "has_match must not consume");
+        assert!(mb.try_recv(pat(1, 1)).is_none(), "wrong source");
+        assert!(mb.try_recv(pat(0, 1)).is_some());
+        assert!(mb.try_recv(pat(0, 1)).is_none());
     }
 
     #[test]
@@ -363,42 +388,20 @@ mod tests {
         }
         assert_eq!(Arc::strong_count(&shared), 4, "queued envelopes alias");
         for src in 0..3 {
-            let got = mb.recv(Pattern {
-                src: Some(src),
-                tag: 6,
-            });
+            let got = mb.recv(pat(src, 6));
             assert_eq!(got.payload.into_vec(), b"plan");
         }
         assert_eq!(Arc::strong_count(&shared), 1);
     }
 
     #[test]
-    fn interleaved_tags_and_sources_stay_in_sync() {
-        let mb = Mailbox::new();
-        mb.deliver(env(0, 1, b'a'));
-        mb.deliver(env(1, 1, b'b'));
-        mb.deliver(env(0, 1, b'c'));
-        // ANY_SOURCE drains in delivery order across sources.
-        let order: Vec<u8> = (0..3)
-            .map(|_| mb.recv(Pattern { src: None, tag: 1 }).payload.into_vec()[0])
-            .collect();
-        assert_eq!(order, b"abc");
-        assert_eq!(mb.pending(), 0);
-    }
-
-    #[test]
     fn recv_budgeted_expires_and_delivers() {
         let mb = Mailbox::new();
-        let got = mb.recv_budgeted(
-            Pattern { src: None, tag: 4 },
-            std::time::Duration::from_millis(5),
-        );
+        let got = mb.recv_budgeted(pat(2, 4), std::time::Duration::from_millis(5));
         assert!(got.is_none(), "empty mailbox: budget expires");
+        assert_eq!(mb.queue.lock().parked, 0, "an expired wait unparks");
         mb.deliver(env(2, 4, b'k'));
-        let got = mb.recv_budgeted(
-            Pattern { src: None, tag: 4 },
-            std::time::Duration::from_secs(5),
-        );
+        let got = mb.recv_budgeted(pat(2, 4), std::time::Duration::from_secs(5));
         assert_eq!(got.unwrap().payload.into_vec(), b"k");
         assert_eq!(mb.pending(), 0);
     }
@@ -407,18 +410,36 @@ mod tests {
     fn recv_blocks_until_delivery() {
         let mb = Arc::new(Mailbox::new());
         let mb2 = Arc::clone(&mb);
-        let handle = std::thread::spawn(move || {
-            let got = mb2.recv(Pattern {
-                src: Some(9),
-                tag: 42,
-            });
-            got.payload.into_vec()[0]
-        });
-        // Deliver a non-matching message first, then the match.
+        let handle = std::thread::spawn(move || mb2.recv(pat(9, 42)).payload.into_vec()[0]);
+        // Deliver a non-matching message first, then the match. The
+        // receiver may or may not be parked yet; either way the parked
+        // count gates the notify and the match must reach it.
         std::thread::sleep(std::time::Duration::from_millis(10));
         mb.deliver(env(8, 42, b'n'));
         mb.deliver(env(9, 42, b'm'));
         assert_eq!(handle.join().unwrap(), b'm');
         assert_eq!(mb.pending(), 1);
+        assert_eq!(mb.queue.lock().parked, 0);
+    }
+
+    #[test]
+    fn ping_pong_threads_never_miss_a_wakeup() {
+        // Two threads bounce 2,000 messages: a delivery that skipped its
+        // notify while the peer was parked would hang this test.
+        let a = Arc::new(Mailbox::new());
+        let b = Arc::new(Mailbox::new());
+        let (a2, b2) = (Arc::clone(&a), Arc::clone(&b));
+        let peer = std::thread::spawn(move || {
+            for i in 0..2_000u32 {
+                let got = b2.recv(pat(0, 3));
+                a2.deliver(env(1, 3, got.payload.as_slice()[0] ^ (i as u8)));
+            }
+        });
+        for i in 0..2_000u32 {
+            b.deliver(env(0, 3, i as u8));
+            assert_eq!(a.recv(pat(1, 3)).payload.as_slice(), [0]);
+        }
+        peer.join().unwrap();
+        assert_eq!(a.pending() + b.pending(), 0);
     }
 }

@@ -23,8 +23,8 @@ use std::collections::BTreeMap;
 use std::process::exit;
 
 use mccio_bench::{run_traced, Platform};
-use mccio_core::stats::{derive_rounds, OpSummary};
 use mccio_core::Hints;
+use mccio_obs::analyze::{Phase, TraceAnalysis};
 use mccio_obs::ObsSink;
 use mccio_sim::units::{fmt_bandwidth, fmt_bytes};
 use mccio_workloads::{CollPerf, FsTest, Ior, IorMode, Synthetic, Workload};
@@ -231,9 +231,8 @@ fn main() {
 
     let obs = ObsSink::enabled();
     let result = run_traced(workload.as_ref(), &*strategy, &platform, &obs);
-    let records = derive_rounds(&obs);
-    let writes: Vec<_> = records.iter().copied().filter(|r| r.is_write).collect();
-    let reads: Vec<_> = records.iter().copied().filter(|r| !r.is_write).collect();
+    let analysis = TraceAnalysis::of_sink(&obs)
+        .unwrap_or_else(|e| fail(&format!("trace analysis failed: {e}")));
 
     println!();
     println!(
@@ -246,21 +245,20 @@ fn main() {
         fmt_bandwidth(result.read_bw),
         result.read_secs
     );
-    for (label, recs) in [("write", writes), ("read", reads)] {
-        if recs.is_empty() {
+    for label in ["write", "read"] {
+        let ops = analysis.ops.iter().filter(|op| op.dir == label);
+        let rounds: usize = ops.clone().map(|op| op.rounds).sum();
+        if rounds == 0 {
             continue; // independent paths do not run the round engine
         }
-        let s = OpSummary::of(&recs);
+        let ms = |phase: Phase| ops.clone().map(|op| op.attribution.get(phase)).sum::<f64>() * 1e3;
         println!(
-            "{label} rounds: {} (vol {}, {} requests) — sync {:.1}ms, shuffle {:.1}ms, \
-             storage {:.1}ms, assembly {:.1}ms",
-            s.rounds,
-            fmt_bytes(s.volume),
-            s.requests,
-            s.sync_secs * 1e3,
-            s.shuffle_secs * 1e3,
-            s.storage_secs * 1e3,
-            s.assembly_secs * 1e3,
+            "{label} rounds: {rounds} — sync {:.1}ms, shuffle {:.1}ms, storage {:.1}ms, \
+             assembly {:.1}ms",
+            ms(Phase::Sync),
+            ms(Phase::Shuffle),
+            ms(Phase::Storage),
+            ms(Phase::Assembly),
         );
     }
     let m = result.metrics;
@@ -292,14 +290,14 @@ fn main() {
         result.traffic.data_msgs
     );
     if let Some(prefix) = trace_out {
-        write_trace_artifacts(&prefix, &obs);
+        write_trace_artifacts(&prefix, &obs, &analysis);
     }
 }
 
 /// Writes the run's trace as `<prefix>.json` (Chrome), `<prefix>.jsonl`
 /// (event stream), and `<prefix>.html` (self-contained report), each
 /// validated before it lands on disk.
-fn write_trace_artifacts(prefix: &str, obs: &ObsSink) {
+fn write_trace_artifacts(prefix: &str, obs: &ObsSink, analysis: &TraceAnalysis) {
     use mccio_obs::{analyze, export, report};
     let events = obs.events();
     let chrome = export::chrome_trace(&events);
@@ -314,14 +312,12 @@ fn write_trace_artifacts(prefix: &str, obs: &ObsSink) {
     let jsonl_path = format!("{prefix}.jsonl");
     std::fs::write(&jsonl_path, &jsonl)
         .unwrap_or_else(|e| fail(&format!("write {jsonl_path}: {e}")));
-    let analysis = analyze::TraceAnalysis::of_sink(obs)
-        .unwrap_or_else(|e| fail(&format!("trace analysis failed: {e}")));
     let replayable: Vec<analyze::TraceEvent> = {
         let mut sorted = events;
         mccio_obs::span::sort_for_export(&mut sorted);
         sorted.iter().map(analyze::TraceEvent::from_live).collect()
     };
-    let html = report::render("mccio run report", &replayable, &analysis, None);
+    let html = report::render("mccio run report", &replayable, analysis, None);
     let html_path = format!("{prefix}.html");
     std::fs::write(&html_path, &html).unwrap_or_else(|e| fail(&format!("write {html_path}: {e}")));
     println!("trace    : wrote {chrome_path}, {jsonl_path}, {html_path}");

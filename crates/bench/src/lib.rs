@@ -267,20 +267,6 @@ pub fn run_with(
         }
         (w, r)
     });
-    if std::env::var_os("MCCIO_BENCH_RECYCLER").is_some() {
-        let r = world.recycler().stats();
-        let s = mccio_net::slab_stats();
-        eprintln!(
-            "  recycler hits {} misses {}, peak live {} MiB, retained {} MiB; \
-             stacks reused {} fresh {}",
-            r.hits,
-            r.misses,
-            r.peak_live_bytes / (1024 * 1024),
-            r.retained_bytes / (1024 * 1024),
-            s.reused,
-            s.fresh
-        );
-    }
     let total_bytes = workload.total_bytes(n_ranks);
     let write_secs = reports
         .iter()

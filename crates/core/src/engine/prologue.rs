@@ -176,10 +176,8 @@ pub(super) fn open(
     // healthy path pages infallibly (pressure, not failure); under a
     // fault plan reservation is collective and can be refused.
     let my_demands: Vec<u64> = plan
-        .domains
-        .iter()
-        .filter(|d| d.aggregator == me)
-        .map(|d| d.buffer)
+        .domains_of(me)
+        .map(|di| plan.domains[di].buffer)
         .collect();
     let reservations: Vec<Reservation> = if active {
         reserve_collectively(ctx, env, &world, &my_demands, res)?

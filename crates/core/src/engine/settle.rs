@@ -103,8 +103,8 @@ pub(super) fn settle_round(
         if obs.is_enabled() {
             // The root's clock has not advanced yet, so `ctx.clock()` is
             // the round's virtual start; the phase spans tile the round
-            // in pricing order. Everything `derive_rounds` needs to
-            // rebuild a `RoundRecord` rides on the round span's attrs.
+            // in pricing order. Everything `mccio_obs::analyze` needs to
+            // attribute the round rides on the round span's attrs.
             let start = ctx.clock();
             let total = sync + shuffle + storage + assembly + waiting;
             obs.span(
@@ -176,21 +176,6 @@ pub(super) fn settle_round(
             if integrity > 0 {
                 obs.counter_add(mccio_obs::INTEGRITY_VERIFIED, integrity);
             }
-        }
-        if std::env::var_os("MCCIO_TRACE").is_some() {
-            eprintln!(
-                "[mccio round] {} flows={} vol={}B reqs={} sync={} shuffle={} storage={} assembly={} backoff={} faults={}",
-                if is_write { "write" } else { "read" },
-                flows.len(),
-                merged.total_bytes(),
-                merged.total_requests(),
-                sync,
-                shuffle,
-                storage,
-                assembly,
-                waiting,
-                transient_faults,
-            );
         }
         (sync + shuffle + storage + assembly + waiting).as_secs()
     } else {

@@ -72,16 +72,6 @@ impl CollectivePlan {
             .unwrap_or(0)
     }
 
-    /// The active `(domain index, window)` pairs of round `round`, in
-    /// domain order — the per-round working set both the schedule
-    /// builder and invariants checks iterate.
-    pub fn active_windows(&self, round: u64) -> impl Iterator<Item = (usize, Extent)> + '_ {
-        self.domains
-            .iter()
-            .enumerate()
-            .filter_map(move |(i, d)| d.window(round).map(|w| (i, w)))
-    }
-
     /// Indices of the domains any of `extents` intersects, ascending.
     /// `O(E log D + K)` by binary search over the (ordered,
     /// non-overlapping) domains — the schedule builder's round loop
@@ -116,15 +106,13 @@ impl CollectivePlan {
         v
     }
 
-    /// Indices of the domains aggregated by `rank`.
-    #[must_use]
-    pub fn domains_of(&self, rank: usize) -> Vec<usize> {
+    /// Indices of the domains aggregated by `rank`, ascending.
+    pub fn domains_of(&self, rank: usize) -> impl Iterator<Item = usize> + '_ {
         self.domains
             .iter()
             .enumerate()
-            .filter(|(_, d)| d.aggregator == rank)
+            .filter(move |(_, d)| d.aggregator == rank)
             .map(|(i, _)| i)
-            .collect()
     }
 
     /// Asserts structural invariants: ordered, non-overlapping,
@@ -183,21 +171,6 @@ mod tests {
     }
 
     #[test]
-    fn active_windows_drop_finished_domains() {
-        let plan = CollectivePlan {
-            domains: vec![dp(0, 100, 100), dp(100, 500, 100)],
-        };
-        let r0: Vec<_> = plan.active_windows(0).collect();
-        assert_eq!(
-            r0,
-            vec![(0, Extent::new(0, 100)), (1, Extent::new(100, 100))]
-        );
-        let r1: Vec<_> = plan.active_windows(1).collect();
-        assert_eq!(r1, vec![(1, Extent::new(200, 100))]);
-        assert_eq!(plan.active_windows(5).count(), 0);
-    }
-
-    #[test]
     fn aggregator_queries() {
         let mut plan = CollectivePlan {
             domains: vec![dp(0, 10, 10), dp(10, 10, 10), dp(20, 10, 10)],
@@ -206,8 +179,8 @@ mod tests {
         plan.domains[2].aggregator = 4;
         plan.domains[1].aggregator = 1;
         assert_eq!(plan.aggregators(), vec![1, 4]);
-        assert_eq!(plan.domains_of(4), vec![0, 2]);
-        assert_eq!(plan.domains_of(7), Vec::<usize>::new());
+        assert_eq!(plan.domains_of(4).collect::<Vec<_>>(), vec![0, 2]);
+        assert_eq!(plan.domains_of(7).count(), 0);
     }
 
     #[test]

@@ -220,11 +220,8 @@ impl CommSchedule {
         // identical ascending set the old full-member scan produced,
         // found in `O(log n + k)` instead of `O(members)` per domain.
         let my_domains: Vec<(usize, Vec<usize>)> = plan
-            .domains
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.aggregator == me)
-            .map(|(di, d)| (di, pattern.ranks_touching(d.domain)))
+            .domains_of(me)
+            .map(|di| (di, pattern.ranks_touching(plan.domains[di].domain)))
             .collect();
 
         // Domains this rank's own request can intersect, ascending.

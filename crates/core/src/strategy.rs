@@ -27,7 +27,6 @@ use crate::engine::{try_execute_read, try_execute_write, IoEnv};
 use crate::mccio::{plan_mccio, MccioConfig};
 use crate::plan::CollectivePlan;
 use crate::resilience::{independent_read, independent_write, ladder_read, ladder_write};
-use crate::schedule::CommSchedule;
 use crate::two_phase::{plan_two_phase, TwoPhaseConfig};
 
 /// One I/O strategy under study.
@@ -55,23 +54,6 @@ pub trait Strategy: Send + Sync + std::fmt::Debug {
         env: &IoEnv,
         pattern: &Arc<GroupPattern>,
     ) -> Option<Arc<CollectivePlan>>;
-
-    /// The fully-resolved per-round communication schedule this
-    /// strategy's plan implies for the calling rank — exactly what the
-    /// engine will execute, exposed for tests, diagnostics, and
-    /// capacity estimation. `None` for non-collective strategies.
-    ///
-    /// Like [`Strategy::plan`], this is pure and free of communication.
-    fn schedule(
-        &self,
-        ctx: &Ctx,
-        env: &IoEnv,
-        pattern: &Arc<GroupPattern>,
-        my_extents: &ExtentList,
-    ) -> Option<CommSchedule> {
-        self.plan(ctx, env, pattern)
-            .map(|plan| CommSchedule::build(&plan, pattern, ctx.rank(), my_extents))
-    }
 
     /// Writes `data` (this rank's extents packed in offset order).
     fn write(

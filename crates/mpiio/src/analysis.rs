@@ -102,12 +102,6 @@ impl GroupPattern {
         &self.group
     }
 
-    /// Extents of the member at group index `idx`.
-    #[must_use]
-    pub fn extents_of_index(&self, idx: usize) -> ExtentsView<'_> {
-        self.table.view(idx)
-    }
-
     /// Extents of a global `rank` (must be a member).
     ///
     /// # Panics

@@ -204,32 +204,6 @@ impl ExtentList {
         })
     }
 
-    /// Encodes as a flat `u64` list for the wire.
-    #[must_use]
-    pub fn to_words(&self) -> Vec<u64> {
-        let mut out = Vec::with_capacity(self.extents.len() * 2);
-        for e in &self.extents {
-            out.push(e.offset);
-            out.push(e.len);
-        }
-        out
-    }
-
-    /// Decodes [`ExtentList::to_words`] output.
-    ///
-    /// # Panics
-    /// Panics on odd-length input or non-canonical extents.
-    #[must_use]
-    pub fn from_words(words: &[u64]) -> Self {
-        assert!(words.len().is_multiple_of(2), "extent words must pair up");
-        ExtentList::from_sorted(
-            words
-                .chunks_exact(2)
-                .map(|c| Extent::new(c[0], c[1]))
-                .collect(),
-        )
-    }
-
     /// Encodes the list in the delta varint wire form: a varint extent
     /// count, then per extent the varint gap from the previous extent's
     /// end (the absolute offset for the first) and the varint length.
@@ -713,13 +687,6 @@ mod tests {
         let pairs: Vec<_> = l.with_buffer_ranges().collect();
         assert_eq!(pairs[0], (Extent::new(0, 6), 0..6));
         assert_eq!(pairs[1], (Extent::new(100, 4), 6..10));
-    }
-
-    #[test]
-    fn wire_roundtrip() {
-        let l = ExtentList::normalize(vec![Extent::new(5, 5), Extent::new(50, 1)]);
-        assert_eq!(ExtentList::from_words(&l.to_words()), l);
-        assert_eq!(ExtentList::from_words(&[]).as_slice(), &[] as &[Extent]);
     }
 
     #[test]

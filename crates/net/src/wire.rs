@@ -11,22 +11,6 @@ pub fn put_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Appends an `f64` in little-endian order.
-pub fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Encodes a slice of `u64` with a leading count.
-#[must_use]
-pub fn encode_u64s(values: &[u64]) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(8 + values.len() * 8);
-    put_u64(&mut buf, values.len() as u64);
-    for &v in values {
-        put_u64(&mut buf, v);
-    }
-    buf
-}
-
 /// Encodes an `f64`.
 #[must_use]
 pub fn encode_f64(v: f64) -> Vec<u8> {
@@ -72,13 +56,6 @@ impl<'a> Reader<'a> {
         f64::from_le_bytes(bytes)
     }
 
-    /// Reads a count-prefixed `u64` list (the inverse of
-    /// [`encode_u64s`]).
-    pub fn u64s(&mut self) -> Vec<u64> {
-        let n = self.u64() as usize;
-        (0..n).map(|_| self.u64()).collect()
-    }
-
     /// Reads `n` raw bytes.
     ///
     /// # Panics
@@ -116,25 +93,9 @@ pub fn decode_f64(buf: &[u8]) -> f64 {
     v
 }
 
-/// Decodes a count-prefixed `u64` list payload.
-#[must_use]
-pub fn decode_u64s(buf: &[u8]) -> Vec<u64> {
-    let mut r = Reader::new(buf);
-    let v = r.u64s();
-    r.finish();
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn u64_roundtrip() {
-        let values = vec![0, 1, u64::MAX, 42];
-        assert_eq!(decode_u64s(&encode_u64s(&values)), values);
-        assert_eq!(decode_u64s(&encode_u64s(&[])), Vec::<u64>::new());
-    }
 
     #[test]
     fn f64_roundtrip() {
@@ -147,7 +108,7 @@ mod tests {
     fn mixed_reader() {
         let mut buf = Vec::new();
         put_u64(&mut buf, 7);
-        put_f64(&mut buf, 2.5);
+        buf.extend_from_slice(&encode_f64(2.5));
         buf.extend_from_slice(b"abc");
         let mut r = Reader::new(&buf);
         assert_eq!(r.u64(), 7);
@@ -159,7 +120,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "trailing")]
     fn finish_rejects_leftover() {
-        let buf = encode_u64s(&[1]);
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 1);
+        put_u64(&mut buf, 2);
         let mut r = Reader::new(&buf);
         let _ = r.u64();
         r.finish();

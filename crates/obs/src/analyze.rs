@@ -23,10 +23,8 @@
 //!   ([`RunDiff`]); a run diffed against itself is exactly zero.
 //!
 //! Input is either a live [`ObsSink`] ([`TraceAnalysis::of_sink`]) or a
-//! replayed artifact: [`TraceEvent::from_jsonl`] round-trips the JSONL
-//! exporter bit-exactly (f64s are printed shortest-roundtrip), while
-//! [`TraceEvent::from_chrome`] accepts the Chrome artifact's microsecond
-//! timestamps (lossy at the 1e-9 s level, fine for inspection).
+//! replayed JSONL artifact: [`TraceEvent::from_jsonl`] round-trips the
+//! JSONL exporter bit-exactly (f64s are printed shortest-roundtrip).
 
 use std::collections::BTreeMap;
 
@@ -37,7 +35,7 @@ use crate::causal::CausalAnalysis;
 use crate::json::{self, Value};
 use crate::metrics::Histogram;
 use crate::sink::ObsSink;
-use crate::span::{AttrValue, Event, EventKind, ENGINE_TRACK, PHASE_NAMES};
+use crate::span::{AttrValue, Event, EventKind, ENGINE_TRACK};
 use crate::stream::StreamAgg;
 
 /// Tolerance for tiling checks: segment sums are f64 accumulations of
@@ -197,77 +195,6 @@ impl TraceEvent {
         }
         Ok(out)
     }
-
-    /// Replays a Chrome `trace_event` artifact back into events.
-    /// Timestamps are microseconds printed at fixed precision, so
-    /// virtual times round-trip to ~1e-9 s, not to the bit — use JSONL
-    /// when exactness matters.
-    ///
-    /// # Errors
-    /// Describes the first malformed record.
-    pub fn from_chrome(doc: &str) -> Result<Vec<TraceEvent>, String> {
-        const US: f64 = 1e6;
-        let parsed = json::parse(doc)?;
-        let records = parsed.as_arr().ok_or("top level must be a JSON array")?;
-        let mut out = Vec::new();
-        for (i, r) in records.iter().enumerate() {
-            let ph = r
-                .get("ph")
-                .and_then(Value::as_str)
-                .ok_or(format!("record {i} missing \"ph\""))?;
-            if ph == "M" {
-                continue;
-            }
-            let num = |k: &str| {
-                r.get(k)
-                    .and_then(Value::as_f64)
-                    .ok_or(format!("record {i} missing numeric {k:?}"))
-            };
-            let kind = match ph {
-                "X" => EventKind::Span {
-                    start: VTime::from_secs(num("ts")? / US),
-                    dur: VDuration::from_secs(num("dur")? / US),
-                },
-                "i" => EventKind::Instant {
-                    at: VTime::from_secs(num("ts")? / US),
-                },
-                "C" => EventKind::Counter {
-                    at: VTime::from_secs(num("ts")? / US),
-                    value: r
-                        .get("args")
-                        .and_then(|a| a.get("value"))
-                        .and_then(Value::as_f64)
-                        .ok_or(format!("counter record {i} missing args.value"))?,
-                },
-                // Flow events ("s" start / "f" finish) annotate message
-                // causality between spans; they carry no span of their
-                // own and are skipped on replay (like "M" metadata).
-                "s" | "f" => continue,
-                other => return Err(format!("record {i}: unknown ph {other:?}")),
-            };
-            out.push(TraceEvent {
-                name: r
-                    .get("name")
-                    .and_then(Value::as_str)
-                    .ok_or(format!("record {i} missing \"name\""))?
-                    .to_string(),
-                cat: r
-                    .get("cat")
-                    .and_then(Value::as_str)
-                    .unwrap_or("")
-                    .to_string(),
-                track: num("tid")? as u32,
-                kind,
-                attrs: if matches!(kind, EventKind::Counter { .. }) {
-                    Vec::new()
-                } else {
-                    parse_attrs(r.get("args"))
-                },
-                seq: out.len() as u64,
-            });
-        }
-        Ok(out)
-    }
 }
 
 /// Parses an exported `attrs`/`args` object back into attribute pairs.
@@ -341,16 +268,6 @@ impl Phase {
             Phase::Gap => "gap",
             Phase::Epilogue => "epilogue",
         }
-    }
-
-    /// The round phase with this name (`"sync"` … `"backoff"`), if any.
-    /// Round phases lead [`Phase::ALL`] in [`PHASE_NAMES`] order.
-    #[must_use]
-    pub fn round_phase(name: &str) -> Option<Phase> {
-        PHASE_NAMES
-            .iter()
-            .position(|&n| n == name)
-            .map(|i| Phase::ALL[i])
     }
 }
 
@@ -1286,38 +1203,5 @@ mod tests {
         assert_eq!(op.attr_str("dir"), Some("write"));
         let res = replayed.iter().find(|e| e.name == "mem.reserve").unwrap();
         assert_eq!(res.attr_u64("bytes"), Some(42));
-    }
-
-    #[test]
-    fn chrome_round_trip_preserves_structure() {
-        use crate::export;
-        let sink = ObsSink::enabled();
-        sink.span(
-            ENGINE_TRACK,
-            "op",
-            "engine",
-            VTime::ZERO,
-            VDuration::from_secs(1.5),
-            &[("bytes", AttrValue::U64(1024))],
-        );
-        sink.instant(2, "rank.round", "engine", VTime::from_secs(0.25), &[]);
-        let mut live = sink.events();
-        sort_for_export(&mut live);
-        let replayed = TraceEvent::from_chrome(&export::chrome_trace(&live)).unwrap();
-        // Metadata records are skipped; the two real events survive.
-        assert_eq!(replayed.len(), 2);
-        let op = replayed.iter().find(|e| e.name == "op").unwrap();
-        assert_eq!(op.track, ENGINE_TRACK);
-        assert_eq!(op.attr_u64("bytes"), Some(1024));
-        assert!((op.end().as_secs() - 1.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn phase_names_agree_with_round_phase() {
-        for name in PHASE_NAMES {
-            let p = Phase::round_phase(name).unwrap();
-            assert_eq!(p.name(), name);
-        }
-        assert_eq!(Phase::round_phase("prologue"), None);
     }
 }

@@ -527,7 +527,7 @@ mod tests {
     }
 
     #[test]
-    fn flow_round_trip_replays_spans_only() {
+    fn flow_export_only_adds_to_the_plain_trace() {
         use mccio_sim::time::VTime;
         let edges = vec![CausalEdge {
             src: 3,
@@ -537,11 +537,20 @@ mod tests {
             depart: VTime::from_secs(0.2),
             arrive: VTime::from_secs(0.35),
         }];
-        let doc = chrome_trace_flows(&sample_events(), &edges);
-        // from_chrome skips flow records like metadata: the replay sees
-        // exactly the four sample events.
-        let replayed = crate::analyze::TraceEvent::from_chrome(&doc).unwrap();
-        assert_eq!(replayed.len(), 4);
+        // Event records only: flow records ("s" start / "f" finish)
+        // and track-name metadata ("M") dropped.
+        let events = |doc: &str| {
+            let parsed = json::parse(doc).unwrap();
+            let mut records = parsed.as_arr().unwrap().to_vec();
+            records
+                .retain(|r| !matches!(r.get("ph").and_then(Value::as_str), Some("s" | "f" | "M")));
+            records
+        };
+        // The flow export adds to the plain trace and changes nothing
+        // in it.
+        let spans = events(&chrome_trace_flows(&sample_events(), &edges));
+        assert_eq!(spans.len(), 4);
+        assert_eq!(spans, events(&chrome_trace(&sample_events())));
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use causal::{
 pub use metrics::{Histogram, MetricsRegistry};
 pub use sink::ObsSink;
 pub use span::{
-    AttrValue, Event, EventKind, CRASH_DETECTED, ENGINE_TRACK, INTEGRITY_VERIFIED, PHASE_NAMES,
-    REELECTION, ROUNDS_REPLAYED,
+    AttrValue, Event, EventKind, CRASH_DETECTED, ENGINE_TRACK, INTEGRITY_VERIFIED, REELECTION,
+    ROUNDS_REPLAYED,
 };
 pub use stream::{OnlineStat, StreamAgg, StreamCell, StreamConfig};

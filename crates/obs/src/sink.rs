@@ -4,9 +4,7 @@
 //! One sink is carried by each `IoEnv` (cheaply cloned alongside it, all
 //! clones share the same buffers), so concurrent simulation worlds each
 //! record into their own sink instead of interleaving into one
-//! process-global `Mutex` — the cross-world attribution caveat of the
-//! process-global recorder `core::stats` used to carry is structurally
-//! gone.
+//! process-global `Mutex`.
 //!
 //! The default sink is **disabled**: `inner` is `None`, every record
 //! method is one predictable branch and an immediate return — no locks
@@ -79,12 +77,6 @@ impl ObsSink {
         }
     }
 
-    /// True when this sink folds through a streaming aggregate.
-    #[must_use]
-    pub fn is_streaming(&self) -> bool {
-        self.inner.as_ref().is_some_and(|i| i.stream.is_some())
-    }
-
     /// Arms message-causality tracing on this sink (builder style).
     /// The engine installs the returned hook on its world at op start
     /// and every delivery folds into the online frontier
@@ -98,14 +90,6 @@ impl ObsSink {
             let _ = inner.causal.set(Arc::new(CausalAgg::new(retain_edges)));
         }
         self
-    }
-
-    /// True when causal tracing is armed.
-    #[must_use]
-    pub fn is_causal(&self) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.causal.get().is_some())
     }
 
     /// The causal hook for the engine's world, when armed.
@@ -398,7 +382,7 @@ mod tests {
             exemplar_stride: 16,
             exemplar_max: 2,
         });
-        assert!(s.is_streaming() && s.is_enabled());
+        assert!(s.is_enabled() && s.stream_stats().is_some());
         for rank in 0..64u32 {
             s.span(
                 rank,
@@ -440,7 +424,6 @@ mod tests {
         assert_eq!(cell.dur_nanos.top[0], (63_000_000, 63));
         // Buffered sinks report no aggregate.
         assert!(ObsSink::enabled().stream_stats().is_none());
-        assert!(!ObsSink::enabled().is_streaming());
     }
 
     #[test]

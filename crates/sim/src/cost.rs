@@ -156,7 +156,6 @@ impl CostModel {
             return VDuration::ZERO;
         }
         let mut serialization = per_flow_floor;
-        let verbose = std::env::var_os("MCCIO_TRACE_SHUFFLE").is_some();
         for (node, load) in loads.iter().enumerate() {
             let spec = &self.cluster.nodes[node];
             let nic_bytes = load.egress.max(load.ingress);
@@ -164,21 +163,7 @@ impl CostModel {
             let factor = mem_factor.get(node).copied().unwrap_or(1.0);
             let dram = VDuration::transfer(load.dram, spec.mem_bandwidth) * factor.max(1.0);
             let software = VDuration::from_secs(load.messages as f64 * SHUFFLE_MESSAGE_OVERHEAD);
-            if verbose && (nic > serialization || dram > serialization || software > serialization)
-            {
-                eprintln!(
-                    "[shuffle node {node}] in={} out={} dram={} msgs={} factor={factor:.1} \
-                     -> nic={nic} dram_t={dram} sw={software}",
-                    load.ingress, load.egress, load.dram, load.messages
-                );
-            }
             serialization = serialization.max(nic).max(dram).max(software);
-        }
-        if verbose {
-            eprintln!(
-                "[shuffle] flows={} floor={per_flow_floor} serialization={serialization}",
-                flows.len()
-            );
         }
         let latency = if any_inter {
             self.cluster.link_latency

@@ -2,8 +2,8 @@
 //!
 //! The tuner, the memory ledger and the experiment harness all need the
 //! same handful of summaries: running mean/variance (Welford), min/max,
-//! percentiles, and the coefficient of variation the paper uses to talk
-//! about "memory consumption and variance among processes".
+//! and the coefficient of variation the paper uses to talk about
+//! "memory consumption and variance among processes".
 
 /// Online mean/variance accumulator (Welford's algorithm).
 ///
@@ -111,81 +111,6 @@ impl Welford {
     }
 }
 
-/// Extends a slice of samples with summary queries that need sorting.
-#[derive(Debug, Clone)]
-pub struct Samples {
-    sorted: Vec<f64>,
-}
-
-impl Samples {
-    /// Builds from raw observations. Non-finite values are rejected.
-    ///
-    /// # Panics
-    /// Panics on NaN or infinite inputs — such values always indicate an
-    /// upstream bug in a deterministic simulator.
-    #[must_use]
-    pub fn new(mut values: Vec<f64>) -> Self {
-        assert!(
-            values.iter().all(|v| v.is_finite()),
-            "samples must be finite"
-        );
-        values.sort_by(|a, b| a.partial_cmp(b).expect("finite values compare"));
-        Samples { sorted: values }
-    }
-
-    /// Number of samples.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.sorted.len()
-    }
-
-    /// True when empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.sorted.is_empty()
-    }
-
-    /// Linear-interpolated percentile, `p` in `[0, 100]`.
-    ///
-    /// # Panics
-    /// Panics when empty or when `p` is outside `[0, 100]`.
-    #[must_use]
-    pub fn percentile(&self, p: f64) -> f64 {
-        assert!(!self.sorted.is_empty(), "percentile of empty sample set");
-        assert!((0.0..=100.0).contains(&p), "percentile {p} out of range");
-        if self.sorted.len() == 1 {
-            return self.sorted[0];
-        }
-        let pos = p / 100.0 * (self.sorted.len() - 1) as f64;
-        let lo = pos.floor() as usize;
-        let hi = pos.ceil() as usize;
-        let frac = pos - lo as f64;
-        self.sorted[lo] * (1.0 - frac) + self.sorted[hi] * frac
-    }
-
-    /// The median (50th percentile).
-    #[must_use]
-    pub fn median(&self) -> f64 {
-        self.percentile(50.0)
-    }
-}
-
-/// Geometric mean of strictly positive values; used to summarize speedups
-/// across configurations (arithmetic means of ratios are biased).
-///
-/// # Panics
-/// Panics on an empty slice or non-positive values.
-#[must_use]
-pub fn geometric_mean(values: &[f64]) -> f64 {
-    assert!(!values.is_empty(), "geometric mean of nothing");
-    assert!(
-        values.iter().all(|&v| v > 0.0 && v.is_finite()),
-        "geometric mean needs positive finite values"
-    );
-    let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,44 +163,6 @@ mod tests {
         let mut e = Welford::new();
         e.merge(&a);
         assert_eq!(e.count(), 2);
-    }
-
-    #[test]
-    fn percentiles_interpolate() {
-        let s = Samples::new(vec![4.0, 1.0, 3.0, 2.0]);
-        assert_eq!(s.percentile(0.0), 1.0);
-        assert_eq!(s.percentile(100.0), 4.0);
-        assert!((s.median() - 2.5).abs() < 1e-12);
-        assert!((s.percentile(25.0) - 1.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn single_sample_percentile() {
-        let s = Samples::new(vec![7.0]);
-        assert_eq!(s.percentile(0.0), 7.0);
-        assert_eq!(s.percentile(99.0), 7.0);
-        assert_eq!(s.len(), 1);
-        assert!(!s.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "empty")]
-    fn empty_percentile_panics() {
-        let s = Samples::new(vec![]);
-        let _ = s.percentile(50.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "finite")]
-    fn nan_samples_rejected() {
-        let _ = Samples::new(vec![f64::NAN]);
-    }
-
-    #[test]
-    fn geometric_mean_of_ratios() {
-        let g = geometric_mean(&[2.0, 8.0]);
-        assert!((g - 4.0).abs() < 1e-12);
-        assert!((geometric_mean(&[5.0]) - 5.0).abs() < 1e-12);
     }
 
     #[test]

@@ -275,13 +275,6 @@ impl Placement {
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
         self.rank_to_node.iter().copied().enumerate()
     }
-
-    /// True if both ranks live on the same node (so their traffic is
-    /// intra-node shared-memory traffic).
-    #[must_use]
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
-        self.rank_to_node[a] == self.rank_to_node[b]
-    }
 }
 
 /// A tiny cluster useful in unit tests: `n_nodes` nodes of `cores` cores,
@@ -332,8 +325,6 @@ mod tests {
         assert_eq!(p.node_of(3), 1);
         assert_eq!(p.node_of(8), 2);
         assert_eq!(p.ranks_on(1), &[3, 4, 5]);
-        assert!(p.same_node(0, 2));
-        assert!(!p.same_node(2, 3));
     }
 
     #[test]

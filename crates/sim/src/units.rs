@@ -13,11 +13,6 @@ pub const GIB: u64 = 1 << 30;
 /// One tebibyte (2^40 bytes).
 pub const TIB: u64 = 1 << 40;
 
-/// One megabyte per second, as a bandwidth.
-pub const MIB_PER_S: f64 = MIB as f64;
-/// One gigabyte per second, as a bandwidth.
-pub const GIB_PER_S: f64 = GIB as f64;
-
 /// Formats a byte count with a binary unit suffix, e.g. `"16.0 MiB"`.
 #[must_use]
 pub fn fmt_bytes(bytes: u64) -> String {

@@ -298,26 +298,20 @@ fn main() {
 /// (event stream), and `<prefix>.html` (self-contained report), each
 /// validated before it lands on disk.
 fn write_trace_artifacts(prefix: &str, obs: &ObsSink, analysis: &TraceAnalysis) {
-    use mccio_obs::{analyze, export, report};
-    let events = obs.events();
-    let chrome = export::chrome_trace(&events);
+    use mccio_obs::{export, report};
+    let (chrome, jsonl) =
+        obs.with_events(|events| (export::chrome_trace(events), export::jsonl(events)));
     export::validate_chrome_trace(&chrome)
         .unwrap_or_else(|e| fail(&format!("emitted Chrome trace is invalid: {e}")));
     let chrome_path = format!("{prefix}.json");
     std::fs::write(&chrome_path, &chrome)
         .unwrap_or_else(|e| fail(&format!("write {chrome_path}: {e}")));
-    let jsonl = export::jsonl(&events);
     export::validate_jsonl(&jsonl)
         .unwrap_or_else(|e| fail(&format!("emitted JSONL is invalid: {e}")));
     let jsonl_path = format!("{prefix}.jsonl");
     std::fs::write(&jsonl_path, &jsonl)
         .unwrap_or_else(|e| fail(&format!("write {jsonl_path}: {e}")));
-    let replayable: Vec<analyze::TraceEvent> = {
-        let mut sorted = events;
-        mccio_obs::span::sort_for_export(&mut sorted);
-        sorted.iter().map(analyze::TraceEvent::from_live).collect()
-    };
-    let html = report::render("mccio run report", &replayable, analysis, None);
+    let html = report::render("mccio run report", &obs.trace_events(), analysis, None);
     let html_path = format!("{prefix}.html");
     std::fs::write(&html_path, &html).unwrap_or_else(|e| fail(&format!("write {html_path}: {e}")));
     println!("trace    : wrote {chrome_path}, {jsonl_path}, {html_path}");

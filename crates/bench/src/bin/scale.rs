@@ -468,17 +468,7 @@ fn run_obs(mode: &str, out_path: Option<&str>) {
         let analysis = analyze::TraceAnalysis::of_sink(&sink)
             .expect("streamed trace analyzes")
             .with_host_profile(profile.clone());
-        let events: Vec<analyze::TraceEvent> = sink.with_events(|live| {
-            let mut refs: Vec<&mccio_obs::Event> = live.iter().collect();
-            refs.sort_by(|a, b| {
-                (a.track, a.kind.at().as_secs(), a.seq)
-                    .partial_cmp(&(b.track, b.kind.at().as_secs(), b.seq))
-                    .expect("virtual times are finite")
-            });
-            refs.into_iter()
-                .map(analyze::TraceEvent::from_live)
-                .collect()
-        });
+        let events = sink.trace_events();
         let title = format!("mccio scale --obs — {ranks} ranks / {name}");
         let html = report::render(&title, &events, &analysis, None);
         let path = format!("trace_obs/scale_obs_{ranks}.html");
@@ -733,26 +723,17 @@ fn run_causal(mode: &str, out_path: Option<&str>) {
             }
         }
 
-        // The streamed causal trace still analyzes and reports: the
-        // report carries the blame-chain and what-if sections.
+        // The streamed causal trace still analyzes and reports: every
+        // op's critical path is cut from its recorded chain, so the
+        // report carries the blame chains and what-if projections.
         let analysis = analyze::TraceAnalysis::of_sink(&sink)
             .expect("streamed causal trace analyzes")
             .with_host_profile(profile.clone());
         assert!(
-            analysis.causal.as_ref().is_some_and(|c| !c.is_empty()),
-            "{ranks} ranks: analysis carries no causal layer"
+            analysis.ops.iter().map(|op| &op.chain).eq(&chains),
+            "{ranks} ranks: critical paths are not cut from the recorded chains"
         );
-        let events: Vec<analyze::TraceEvent> = sink.with_events(|live| {
-            let mut refs: Vec<&mccio_obs::Event> = live.iter().collect();
-            refs.sort_by(|a, b| {
-                (a.track, a.kind.at().as_secs(), a.seq)
-                    .partial_cmp(&(b.track, b.kind.at().as_secs(), b.seq))
-                    .expect("virtual times are finite")
-            });
-            refs.into_iter()
-                .map(analyze::TraceEvent::from_live)
-                .collect()
-        });
+        let events = sink.trace_events();
         let title = format!("mccio scale causal — {ranks} ranks / {name}");
         let html = report::render(&title, &events, &analysis, None);
         let path = format!("trace_obs/scale_causal_{ranks}.html");

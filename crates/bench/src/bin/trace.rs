@@ -19,8 +19,9 @@
 //!   (critical path, occupancy timelines), and writes one self-contained
 //!   HTML report per strategy — the second carries the A/B diff against
 //!   the first. Exits nonzero unless every op's critical-path total is
-//!   bit-identical to its op span and the JSONL artifact replays into a
-//!   bit-identical analysis;
+//!   bit-identical to its op span, every path tiles its span with
+//!   bit-equal joints, and the JSONL artifact replays into a
+//!   bit-identical analysis, segment by segment;
 //! * `causal` — root-cause analysis: runs both paper strategies with
 //!   message-causality tracing under a deterministic 5 µs control-plane
 //!   latency (so clocks genuinely diverge and blame chains hop ranks),
@@ -41,7 +42,7 @@ use mccio_bench::{paper_pair, run_on_traced_faulty, run_traced, Platform};
 use mccio_net::ExecutorKind;
 use mccio_obs::{analyze, export, report, ObsSink};
 use mccio_sim::fault::FaultPlan;
-use mccio_sim::time::VDuration;
+use mccio_sim::time::{VDuration, VTime};
 use mccio_sim::units::MIB;
 use mccio_workloads::Ior;
 
@@ -156,8 +157,8 @@ fn emit(mode: &str, outdir: &str) {
 /// one self-contained HTML report per strategy (the second carrying the
 /// A/B diff against the first). Fails unless the analysis is exact: the
 /// critical-path total must equal the op span's virtual duration to the
-/// bit, the phase tiling must close, and the JSONL artifact must replay
-/// into a bit-identical analysis.
+/// bit, the path's joints must be bit-equal, and the JSONL artifact must
+/// replay into a bit-identical analysis.
 fn report_mode(mode: &str, outdir: &str) {
     let (platform, workload, buffer) = platform_for(mode);
     std::fs::create_dir_all(outdir).expect("create output directory");
@@ -172,13 +173,10 @@ fn report_mode(mode: &str, outdir: &str) {
         });
 
         // Acceptance invariant 1: the critical-path total is the op
-        // span's priced duration, bit for bit. Cross-check against the
-        // events independently of how the analyzer stored it.
-        let events: Vec<analyze::TraceEvent> = {
-            let mut live = obs.events();
-            mccio_obs::span::sort_for_export(&mut live);
-            live.iter().map(analyze::TraceEvent::from_live).collect()
-        };
+        // span's priced duration, bit for bit, and the path tiles it
+        // with bit-equal joints. Cross-check against the events
+        // independently of how the analyzer stored it.
+        let events = obs.trace_events();
         let op_durs: Vec<f64> = events
             .iter()
             .filter(|e| e.name == "op")
@@ -201,27 +199,35 @@ fn report_mode(mode: &str, outdir: &str) {
                 eprintln!("report[{name}]: op {i} total does not match its span event");
                 failures += 1;
             }
-            if op.tiling_error.abs() > analyze::TILING_EPS * op.rounds.max(1) as f64 {
-                eprintln!(
-                    "report[{name}]: op {i} tiling error {} over {} rounds",
-                    op.tiling_error, op.rounds
-                );
+            if let Err(e) = op.verify_tiling() {
+                eprintln!("report[{name}]: op {i} path does not tile its span: {e}");
                 failures += 1;
             }
         }
         // Acceptance invariant 2: the JSONL artifact replays into a
-        // bit-identical analysis (attribution and totals).
-        let replayed = analyze::TraceEvent::from_jsonl(&export::jsonl(&obs.events()))
+        // bit-identical analysis: totals, attribution, and every
+        // segment's bounds and phase.
+        let replayed = analyze::TraceEvent::from_jsonl(&obs.with_events(export::jsonl))
             .and_then(|evs| analyze::TraceAnalysis::from_events(&evs))
             .unwrap_or_else(|e| {
                 eprintln!("report[{name}]: JSONL replay failed: {e}");
                 exit(1);
             });
+        let bits = |t: VTime| t.as_secs().to_bits();
+        let same_path = |r: &analyze::CriticalPath, l: &analyze::CriticalPath| {
+            r.total.as_secs().to_bits() == l.total.as_secs().to_bits()
+                && r.attribution.total().to_bits() == l.attribution.total().to_bits()
+                && r.segments.len() == l.segments.len()
+                && r.segments.iter().zip(&l.segments).all(|(a, b)| {
+                    bits(a.from) == bits(b.from) && bits(a.to) == bits(b.to) && a.phase == b.phase
+                })
+        };
         if replayed.ops.len() != analysis.ops.len()
-            || replayed.ops.iter().zip(&analysis.ops).any(|(r, l)| {
-                r.total.as_secs().to_bits() != l.total.as_secs().to_bits()
-                    || r.attribution.total().to_bits() != l.attribution.total().to_bits()
-            })
+            || !replayed
+                .ops
+                .iter()
+                .zip(&analysis.ops)
+                .all(|(r, l)| same_path(r, l))
         {
             eprintln!("report[{name}]: JSONL replay is not bit-identical to the live analysis");
             failures += 1;
@@ -354,43 +360,36 @@ fn causal_mode(mode: &str, outdir: &str) {
             eprintln!("causal[{name}]: analysis failed: {e}");
             exit(1);
         });
-        let causal = analysis.causal.as_ref().unwrap_or_else(|| {
-            eprintln!("causal[{name}]: analysis carries no causal layer");
-            exit(1);
-        });
-        for (i, op) in causal.ops.iter().enumerate() {
-            if let Err(e) = op.chain.verify_tiling() {
-                eprintln!("causal[{name}]: op {i} blame chain does not tile: {e}");
+        for (i, op) in analysis.ops.iter().enumerate() {
+            let chain = &op.chain;
+            if let Err(e) = chain.verify_tiling().and_then(|()| op.verify_tiling()) {
+                eprintln!("causal[{name}]: op {i} path does not tile: {e}");
                 failures += 1;
             }
             // The chain's [t0, end] window is the op span itself, so its
             // total must be the critical-path total to the bit.
-            if analysis
-                .ops
-                .get(i)
-                .is_none_or(|p| p.total.as_secs().to_bits() != op.chain.total().as_secs().to_bits())
-            {
+            if op.total.as_secs().to_bits() != chain.total().as_secs().to_bits() {
                 eprintln!(
                     "causal[{name}]: op {i} chain total {} is not the op span",
-                    op.chain.total().as_secs()
+                    chain.total().as_secs()
                 );
                 failures += 1;
             }
-            if op.chain.hops() == 0 {
+            if chain.hops() == 0 {
                 eprintln!("causal[{name}]: op {i} blame chain never leaves rank 0");
                 failures += 1;
             }
             println!(
                 "causal[{name}]: {} op {:.6}s, {} hop(s) across ranks {:?}, \
                  wait {:.6}s / work {:.6}s",
-                op.chain.dir,
-                op.chain.total().as_secs(),
-                op.chain.hops(),
-                op.chain.ranks(),
-                op.wait_secs,
-                op.work_secs,
+                chain.dir,
+                chain.total().as_secs(),
+                chain.hops(),
+                chain.ranks(),
+                chain.wait_secs(),
+                chain.work_secs(),
             );
-            for w in &op.what_ifs {
+            for w in op.what_ifs() {
                 println!(
                     "  what-if {:>14}: {:.6}s projected ({:.2}x)",
                     w.name, w.projected_secs, w.speedup
@@ -400,11 +399,7 @@ fn causal_mode(mode: &str, outdir: &str) {
 
         // Artifacts: the causal HTML report and the flow-annotated
         // Chrome trace, both validated before exit.
-        let events: Vec<analyze::TraceEvent> = {
-            let mut live = obs.events();
-            mccio_obs::span::sort_for_export(&mut live);
-            live.iter().map(analyze::TraceEvent::from_live).collect()
-        };
+        let events = obs.trace_events();
         let title = format!("mccio causal report — {mode} / {name}");
         let html = report::render(&title, &events, &analysis, None);
         if !html.starts_with("<!DOCTYPE html>") || !html.ends_with("</html>\n") {

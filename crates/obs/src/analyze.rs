@@ -1,18 +1,19 @@
-//! Trace analytics: critical-path extraction, memory-pressure
-//! timelines, and A/B run diffing.
+//! Trace analytics: critical paths with what-if projection,
+//! memory-pressure timelines, and A/B run diffing.
 //!
 //! The raw trace (spans, instants, counters) answers *what happened*;
 //! this module answers the questions the paper asks of it:
 //!
-//! * **Critical path** — the engine prices every round at the world
-//!   root, so the longest virtual-time chain through an operation is
-//!   the op span itself, tiled by its rounds' phase terms (sync →
-//!   shuffle → storage → assembly → backoff, in pricing order) plus
-//!   whatever the rounds do not cover (prologue, inter-round gaps,
-//!   epilogue). [`CriticalPath`] reconstructs that tiling from the
-//!   round spans' attributes, attributes every virtual second to a
-//!   [`Phase`], and names the straggler rank that set each
-//!   max-over-ranks phase term.
+//! * **Critical path** — each op's [`CriticalPath`] is its blame chain
+//!   (the cross-rank happens-before path of [`crate::causal`]) cut at
+//!   the engine's phase boundaries: prologue, then each round's
+//!   sync → shuffle → storage → assembly → backoff (read off the round
+//!   span's attributes, in pricing order), then inter-round gaps and
+//!   the epilogue. Every piece names its rank, its causal class, its
+//!   [`Phase`], and the straggler rank that set a max-over-ranks phase
+//!   term; the pieces tile the op span with bit-equal joints. Without
+//!   a recorded chain (causal tracing off, or a replayed artifact) the
+//!   chain is the lock-step one: a single work segment on rank 0.
 //! * **Memory pressure** — paired `mem.reserve` / `mem.release`
 //!   instants (plus `fault.mem.revoke` / `fault.mem.restore`) replay
 //!   into exact per-node occupancy step functions ([`MemTimeline`]),
@@ -31,16 +32,18 @@ use std::collections::BTreeMap;
 use mccio_sim::hostprof::HostProfile;
 use mccio_sim::time::{VDuration, VTime};
 
-use crate::causal::CausalAnalysis;
+use crate::causal::{verify_joints, BlameChain, BlameSegment, SegClass};
 use crate::json::{self, Value};
 use crate::metrics::Histogram;
 use crate::sink::ObsSink;
 use crate::span::{AttrValue, Event, EventKind, ENGINE_TRACK};
 use crate::stream::StreamAgg;
 
-/// Tolerance for tiling checks: segment sums are f64 accumulations of
-/// attribute values, so they match the priced durations to rounding.
-pub const TILING_EPS: f64 = 1e-9;
+/// Tolerance for the structural checks on round spans: phase terms are
+/// f64 attribute values, so their running sum matches the round span's
+/// end only to rounding. Leads and tails this short are absorbed into
+/// the neighbouring phase rather than given a filler segment.
+const TILING_EPS: f64 = 1e-9;
 
 /// An owned attribute value — the replayable mirror of [`AttrValue`].
 #[derive(Debug, Clone, PartialEq)]
@@ -76,9 +79,8 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// Converts a live sink event.
-    #[must_use]
-    pub fn from_live(e: &Event) -> TraceEvent {
+    /// Converts a live sink event (see [`ObsSink::trace_events`]).
+    pub(crate) fn from_live(e: &Event) -> TraceEvent {
         TraceEvent {
             name: e.name.to_string(),
             cat: e.cat.to_string(),
@@ -271,21 +273,35 @@ impl Phase {
     }
 }
 
-/// One contiguous slice of an operation's critical path.
-#[derive(Debug, Clone, PartialEq)]
+/// One contiguous slice of an operation's critical path: a piece of
+/// the blame chain inside one engine phase window.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment {
-    /// What the time was spent on.
+    /// The rank whose timeline the slice lies on (for
+    /// [`SegClass::SyncWait`] pieces: the receiving rank).
+    pub rank: u32,
+    /// The causal class of the blame-chain segment the slice cuts.
+    pub class: SegClass,
+    /// The engine phase the slice belongs to.
     pub phase: Phase,
-    /// Virtual start of the slice.
-    pub start: VTime,
-    /// Virtual duration of the slice.
-    pub dur: VDuration,
+    /// Absolute virtual start.
+    pub from: VTime,
+    /// Absolute virtual end.
+    pub to: VTime,
     /// Index of the round this slice belongs to (round phases only).
     pub round: Option<usize>,
     /// The rank that set this max-over-ranks phase term — the round's
     /// straggler. Named for storage (the busiest aggregator), assembly,
     /// and backoff; sync and shuffle are priced globally.
     pub straggler: Option<u32>,
+}
+
+impl Segment {
+    /// The slice's virtual duration.
+    #[must_use]
+    pub fn dur(&self) -> VDuration {
+        self.to - self.from
+    }
 }
 
 /// Seconds of critical-path time attributed to each phase.
@@ -357,12 +373,13 @@ impl Attribution {
     }
 }
 
-/// The critical path of one collective operation.
+/// The critical path of one collective operation: its blame chain cut
+/// at the engine's phase boundaries.
 ///
 /// The engine advances every rank's clock by the same root-priced
 /// duration each round, so the op span *is* the longest virtual-time
-/// chain; what this adds is the tiling — which phase of which round
-/// each slice belongs to, and who the straggler was.
+/// chain; the cut says which phase of which round each piece of the
+/// chain belongs to, on which rank, and who the straggler was.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CriticalPath {
     /// `"write"` or `"read"`.
@@ -373,33 +390,112 @@ pub struct CriticalPath {
     /// duration, verbatim (bit-identical, never re-derived from the
     /// segment sum).
     pub total: VDuration,
-    /// The path, tiled in virtual-time order.
+    /// The blame chain over `[start, start + total]`: the one recorded
+    /// for this op when causal tracing was armed, otherwise a single
+    /// work segment on rank 0.
+    pub chain: BlameChain,
+    /// The chain cut at the phase windows, in virtual-time order;
+    /// joints are bit-equal.
     pub segments: Vec<Segment>,
     /// Per-phase attribution (sums of the segments).
     pub attribution: Attribution,
     /// Rounds on the path.
     pub rounds: usize,
-    /// `attribution.total() - total.as_secs()` — how far the f64
-    /// segment sum drifts from the priced duration. Bounded by
-    /// [`TILING_EPS`] × rounds on any trace the engine emitted.
-    pub tiling_error: f64,
 }
 
 impl CriticalPath {
     /// The rank named as straggler most often across this path's
-    /// storage/assembly/backoff segments, with its count.
+    /// storage/assembly/backoff phase windows, with its count. A window
+    /// the chain crosses in several pieces counts once.
     #[must_use]
     pub fn top_straggler(&self) -> Option<(u32, usize)> {
+        let mut windows: Vec<(Option<usize>, Phase, u32)> = self
+            .segments
+            .iter()
+            .filter_map(|s| s.straggler.map(|r| (s.round, s.phase, r)))
+            .collect();
+        windows.dedup();
         let mut counts: BTreeMap<u32, usize> = BTreeMap::new();
-        for s in &self.segments {
-            if let Some(r) = s.straggler {
-                *counts.entry(r).or_insert(0) += 1;
-            }
+        for (_, _, r) in windows {
+            *counts.entry(r).or_insert(0) += 1;
         }
         counts
             .into_iter()
             .max_by_key(|&(r, n)| (n, std::cmp::Reverse(r)))
     }
+
+    /// Checks that the segments tile `[start, start + total]` to the
+    /// bit: first piece on `start`, bit-equal joints, no negative
+    /// length, last piece on the op's end.
+    ///
+    /// # Errors
+    /// Describes the first violated joint.
+    pub fn verify_tiling(&self) -> Result<(), String> {
+        verify_joints(
+            self.start,
+            self.start + self.total,
+            self.segments.iter().map(|s| (s.from, s.to)),
+        )
+    }
+
+    /// Re-prices the path under `weight`: each segment's duration is
+    /// scaled by `weight(class, phase) ∈ [0, 1]` and the projection is
+    /// `total − Σ (1 − w)·dur`. The identity weighting (`w ≡ 1`)
+    /// subtracts an exact `+0.0` per segment and therefore reproduces
+    /// `total` **bit-exactly**.
+    #[must_use]
+    pub fn project(&self, weight: impl Fn(SegClass, Phase) -> f64) -> f64 {
+        let removed: f64 = self
+            .segments
+            .iter()
+            .map(|s| (1.0 - weight(s.class, s.phase)) * s.dur().as_secs())
+            .sum();
+        self.total.as_secs() - removed
+    }
+
+    /// The standard speed-of-light scenarios: zero network cost
+    /// (sync-wait pieces free), infinite PFS bandwidth (storage-phase
+    /// pieces free), and uniform memory ceilings (backoff-phase pieces
+    /// free).
+    #[must_use]
+    pub fn what_ifs(&self) -> Vec<WhatIf> {
+        type Freed = fn(SegClass, Phase) -> bool;
+        let scenarios: [(&'static str, Freed); 3] = [
+            ("zero-network", |c, _| c != SegClass::Work),
+            ("infinite-pfs", |_, p| p == Phase::Storage),
+            ("uniform-memory", |_, p| p == Phase::Backoff),
+        ];
+        let total = self.total.as_secs();
+        scenarios
+            .into_iter()
+            .map(|(name, freed)| {
+                let projected = self.project(|c, p| if freed(c, p) { 0.0 } else { 1.0 });
+                WhatIf {
+                    name,
+                    projected_secs: projected,
+                    speedup: if projected > 0.0 {
+                        total / projected
+                    } else {
+                        f64::INFINITY
+                    },
+                }
+            })
+            .collect()
+    }
+}
+
+/// One what-if projection: the critical path re-priced under a
+/// re-weighting of its segments.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WhatIf {
+    /// Scenario name (`"zero-network"`, `"infinite-pfs"`,
+    /// `"uniform-memory"`).
+    pub name: &'static str,
+    /// Projected seconds under the scenario.
+    pub projected_secs: f64,
+    /// `total / projected` (∞ when the scenario removes the whole
+    /// path).
+    pub speedup: f64,
 }
 
 /// One step of a node's occupancy timeline.
@@ -473,45 +569,27 @@ pub struct TraceAnalysis {
     /// nondeterministic observability data, never part of bit-identity
     /// checks.
     pub host: Option<HostProfile>,
-    /// Per-op causal analyses (blame chains, wait-vs-work, what-if
-    /// projections), when the analyzed sink had causal tracing armed
-    /// ([`ObsSink::with_causal`]); `None` otherwise.
-    pub causal: Option<CausalAnalysis>,
 }
 
 impl TraceAnalysis {
     /// Analyzes a live sink: events plus the metrics registry's
-    /// counters. The sink is read, not drained.
+    /// counters. The sink is read, not drained. When causal tracing is
+    /// armed ([`ObsSink::with_causal`]), each op's path is cut from the
+    /// blame chain the fold recorded for it.
     ///
     /// # Errors
-    /// Propagates [`TraceAnalysis::from_events`] errors.
+    /// Propagates [`TraceAnalysis::from_events`] errors, and fails when
+    /// the recorded chains do not pair one-to-one with the op spans —
+    /// a different count, or a chain whose `[start, end]` is not its op
+    /// span to the bit.
     pub fn of_sink(sink: &ObsSink) -> Result<TraceAnalysis, String> {
-        // Borrow the buffer and sort references: the O(events) copy of
-        // every event (attribute vectors included) that `events()`
-        // would make is avoided; only the owned TraceEvent mirror is
-        // built.
-        let events: Vec<TraceEvent> = sink.with_events(|live| {
-            let mut refs: Vec<&Event> = live.iter().collect();
-            refs.sort_by(|a, b| {
-                (a.track, a.kind.at().as_secs(), a.seq)
-                    .partial_cmp(&(b.track, b.kind.at().as_secs(), b.seq))
-                    .expect("virtual times are finite")
-            });
-            refs.into_iter().map(TraceEvent::from_live).collect()
-        });
-        let mut analysis = TraceAnalysis::from_events(&events)?;
+        let chains = sink.causal().map(|agg| agg.chains());
+        let mut analysis = TraceAnalysis::analyze(&sink.trace_events(), chains)?;
         let metrics = sink.metrics();
         analysis.counters = metrics.counter_map();
         analysis.gauges = metrics.gauge_map();
         analysis.histograms = metrics.histogram_map();
         analysis.streaming = sink.stream_stats();
-        // Chains and critical paths are both recorded in op order, so
-        // the causal layer pairs them positionally (bit-checked inside
-        // `from_chains`).
-        let chains = sink.causal_chains();
-        if !chains.is_empty() {
-            analysis.causal = Some(CausalAnalysis::from_chains(&chains, &analysis.ops));
-        }
         Ok(analysis)
     }
 
@@ -523,13 +601,24 @@ impl TraceAnalysis {
         self
     }
 
-    /// Analyzes a replayed (or pre-converted) event stream.
+    /// Analyzes a replayed (or pre-converted) event stream. Every op's
+    /// chain is the lock-step one: a single work segment on rank 0.
     ///
     /// # Errors
     /// Returns a description when the trace is structurally broken —
     /// a round span outside any op span, or a round whose phase terms
     /// do not tile its duration.
     pub fn from_events(events: &[TraceEvent]) -> Result<TraceAnalysis, String> {
+        TraceAnalysis::analyze(events, None)
+    }
+
+    /// Builds one critical path per op span, cutting `chains[i]` (the
+    /// recorded chain of the i-th op, when given) at that op's phase
+    /// windows.
+    pub(crate) fn analyze(
+        events: &[TraceEvent],
+        chains: Option<Vec<BlameChain>>,
+    ) -> Result<TraceAnalysis, String> {
         let mut ops: Vec<&TraceEvent> = Vec::new();
         let mut rounds: Vec<&TraceEvent> = Vec::new();
         for e in events {
@@ -548,6 +637,16 @@ impl TraceAnalysis {
         };
         ops.sort_by(by_time);
         rounds.sort_by(by_time);
+        if let Some(chains) = &chains {
+            if chains.len() != ops.len() {
+                return Err(format!(
+                    "{} blame chain(s) recorded for {} op span(s)",
+                    chains.len(),
+                    ops.len()
+                ));
+            }
+        }
+        let mut chains = chains.map(Vec::into_iter);
 
         let mut paths = Vec::with_capacity(ops.len());
         let mut used = vec![false; rounds.len()];
@@ -569,7 +668,48 @@ impl TraceAnalysis {
                     mine.push(r);
                 }
             }
-            paths.push(critical_path(op, start, dur, &mine)?);
+            let dir = op.attr_str("dir").unwrap_or("?");
+            let chain = match chains.as_mut().and_then(Iterator::next) {
+                Some(chain) => {
+                    let bits = |t: VTime| t.as_secs().to_bits();
+                    if bits(chain.start) != bits(start) || bits(chain.end) != bits(end) {
+                        return Err(format!(
+                            "{dir} op spans [{start}, {end}] but its blame chain spans [{}, {}]",
+                            chain.start, chain.end
+                        ));
+                    }
+                    chain
+                }
+                None => BlameChain {
+                    dir: dir.to_string(),
+                    start,
+                    end,
+                    segments: (end > start)
+                        .then_some(BlameSegment {
+                            rank: 0,
+                            class: SegClass::Work,
+                            from: start,
+                            to: end,
+                        })
+                        .into_iter()
+                        .collect(),
+                },
+            };
+            let windows = phase_windows(dir, start, end, &mine)?;
+            let segments = cut(&chain, &windows);
+            let mut attribution = Attribution::default();
+            for s in &segments {
+                attribution.add(s.phase, s.dur().as_secs());
+            }
+            paths.push(CriticalPath {
+                dir: dir.to_string(),
+                start,
+                total: dur,
+                chain,
+                segments,
+                attribution,
+                rounds: mine.len(),
+            });
         }
         if let Some(pos) = used.iter().position(|&u| !u) {
             return Err(format!(
@@ -736,87 +876,116 @@ impl RunDiff {
     }
 }
 
-/// Tiles one op span with its rounds' phase terms.
-fn critical_path(
-    op: &TraceEvent,
+/// A round's phase terms: attribute name, phase, and the attribute
+/// naming the straggler that set the term.
+const ROUND_TERMS: [(&str, Phase, Option<&str>); 5] = [
+    ("sync_secs", Phase::Sync, None),
+    ("shuffle_secs", Phase::Shuffle, None),
+    ("storage_secs", Phase::Storage, Some("storage_rank")),
+    ("assembly_secs", Phase::Assembly, Some("assembly_rank")),
+    ("backoff_secs", Phase::Backoff, Some("backoff_rank")),
+];
+
+/// Tiles `[start, end]` with phase windows: a prologue up to the first
+/// round, each round's nonzero phase terms in pricing order (the last
+/// one ending on the round span's end bits), gaps between rounds, and
+/// an epilogue. Windows are rank-0 work segments; [`cut`] takes rank
+/// and class from the chain.
+fn phase_windows(
+    dir: &str,
     start: VTime,
-    dur: VDuration,
+    end: VTime,
     rounds: &[&TraceEvent],
-) -> Result<CriticalPath, String> {
-    let end = start + dur;
-    let mut segments = Vec::new();
-    let mut attribution = Attribution::default();
-    let mut push =
-        |phase: Phase, at: VTime, secs: f64, round: Option<usize>, straggler: Option<u32>| {
-            if secs > 0.0 {
-                segments.push(Segment {
-                    phase,
-                    start: at,
-                    dur: VDuration::from_secs(secs),
-                    round,
-                    straggler,
-                });
-            }
-            attribution.add(phase, secs);
-        };
+) -> Result<Vec<Segment>, String> {
+    let window = |phase, from, to, round, straggler| Segment {
+        rank: 0,
+        class: SegClass::Work,
+        phase,
+        from,
+        to,
+        round,
+        straggler,
+    };
+    let mut out = Vec::new();
     let mut cursor = start;
     for (i, r) in rounds.iter().enumerate() {
         let r_start = r.kind.at();
-        let lead = r_start.as_secs() - cursor.as_secs();
-        if lead > TILING_EPS {
+        if r_start.as_secs() - cursor.as_secs() > TILING_EPS {
             let phase = if i == 0 { Phase::Prologue } else { Phase::Gap };
-            push(phase, cursor, lead, None, None);
+            out.push(window(phase, cursor, r_start, None, None));
+            cursor = r_start;
         }
-        let mut t = r_start;
-        for (name, phase) in [
-            ("sync_secs", Phase::Sync),
-            ("shuffle_secs", Phase::Shuffle),
-            ("storage_secs", Phase::Storage),
-            ("assembly_secs", Phase::Assembly),
-            ("backoff_secs", Phase::Backoff),
-        ] {
-            let secs = r.attr_f64(name).unwrap_or(0.0);
-            let straggler = match phase {
-                Phase::Storage => r.attr_u64("storage_rank"),
-                Phase::Assembly => r.attr_u64("assembly_rank"),
-                Phase::Backoff => r.attr_u64("backoff_rank"),
-                _ => None,
-            }
-            .map(|v| v as u32)
-            .filter(|_| secs > 0.0);
-            push(phase, t, secs, Some(i), straggler);
-            t += VDuration::from_secs(secs);
-        }
+        let terms: Vec<(Phase, f64, Option<u32>)> = ROUND_TERMS
+            .iter()
+            .map(|&(name, phase, rank)| {
+                let secs = r.attr_f64(name).unwrap_or(0.0);
+                let straggler = rank.and_then(|k| r.attr_u64(k)).map(|v| v as u32);
+                (phase, secs, straggler)
+            })
+            .filter(|&(_, secs, _)| secs > 0.0)
+            .collect();
         let round_end = r.end();
-        if (t.as_secs() - round_end.as_secs()).abs() > TILING_EPS * 10.0 {
+        let summed = terms
+            .iter()
+            .fold(r_start, |t, &(_, secs, _)| t + VDuration::from_secs(secs));
+        if (summed.as_secs() - round_end.as_secs()).abs() > TILING_EPS * 10.0 {
             return Err(format!(
-                "round {i} phase terms sum to {} but the span ends at {} (op {})",
-                t,
-                round_end,
-                op.attr_str("dir").unwrap_or("?"),
+                "round {i} phase terms sum to {summed} but the span ends at {round_end} (op {dir})"
             ));
         }
-        cursor = round_end;
+        for (k, &(phase, secs, straggler)) in terms.iter().enumerate() {
+            let to = if k + 1 == terms.len() {
+                round_end
+            } else {
+                cursor + VDuration::from_secs(secs)
+            };
+            out.push(window(phase, cursor, to, Some(i), straggler));
+            cursor = to;
+        }
     }
-    let tail = end.as_secs() - cursor.as_secs();
-    if tail > TILING_EPS {
-        let phase = if rounds.is_empty() {
-            Phase::Prologue
-        } else {
-            Phase::Epilogue
-        };
-        push(phase, cursor, tail, None, None);
+    let tail = if rounds.is_empty() {
+        Phase::Prologue
+    } else {
+        Phase::Epilogue
+    };
+    match out.last_mut() {
+        // A sub-tolerance tail (or overshoot) joins the last window.
+        Some(last) if end.as_secs() - cursor.as_secs() <= TILING_EPS => last.to = end,
+        _ if end > cursor => out.push(window(tail, cursor, end, None, None)),
+        _ => {}
     }
-    let tiling_error = attribution.total() - dur.as_secs();
-    Ok(CriticalPath {
-        dir: op.attr_str("dir").unwrap_or("?").to_string(),
-        start,
-        total: dur,
-        segments,
-        attribution,
-        rounds: rounds.len(),
-        tiling_error,
-    })
+    Ok(out)
+}
+
+/// Cuts `chain` at the boundaries of `windows`: each piece takes its
+/// rank and class from the chain segment and its phase, round and
+/// straggler from the window covering it. Both tile the op span with
+/// bit-equal joints, so the pieces do too.
+fn cut(chain: &BlameChain, windows: &[Segment]) -> Vec<Segment> {
+    let mut out = Vec::with_capacity(chain.segments.len() + windows.len());
+    let mut links = chain.segments.iter().peekable();
+    let mut wins = windows.iter().peekable();
+    let mut from = chain.start;
+    while let (Some(&link), Some(&win)) = (links.peek(), wins.peek()) {
+        let to = if link.to < win.to { link.to } else { win.to };
+        if to > from {
+            out.push(Segment {
+                rank: link.rank,
+                class: link.class,
+                from,
+                to,
+                ..*win
+            });
+            from = to;
+        }
+        if link.to <= to {
+            links.next();
+        }
+        if win.to <= to {
+            wins.next();
+        }
+    }
+    out
 }
 
 /// Replays `mem.reserve`/`mem.release` and `fault.mem.*` events into
@@ -1006,7 +1175,6 @@ mod tests {
         assert!((cp.attribution.gap - 1.0).abs() < 1e-12);
         assert!((cp.attribution.epilogue - 1.0).abs() < 1e-12);
         assert!((cp.attribution.storage - 3.5).abs() < 1e-12);
-        assert!(cp.tiling_error.abs() < TILING_EPS);
         assert_eq!(cp.attribution.dominant(), Phase::Storage);
         // Stragglers named only on nonzero storage/assembly/backoff.
         let stragglers: Vec<(Phase, u32)> = cp
@@ -1023,13 +1191,132 @@ mod tests {
             ]
         );
         assert_eq!(cp.top_straggler(), Some((3, 1)));
-        // Segments are contiguous from start to end.
-        let mut t = cp.start;
-        for s in &cp.segments {
-            assert!((s.start.as_secs() - t.as_secs()).abs() < 1e-9);
-            t = s.start + s.dur;
+        // Without a recorded chain the path is rank 0's work, and the
+        // segments tile [0, 10] to the bit; each round's last cut sits
+        // on the round span's end.
+        cp.verify_tiling().expect("bit tiling");
+        assert!(cp
+            .segments
+            .iter()
+            .all(|s| s.rank == 0 && s.class == SegClass::Work));
+        let storage_ends: Vec<f64> = cp
+            .segments
+            .iter()
+            .filter(|s| s.phase == Phase::Storage)
+            .map(|s| s.to.as_secs())
+            .collect();
+        assert_eq!(storage_ends, vec![4.0, 8.0]);
+        assert_eq!(cp.segments.last().unwrap().to.as_secs(), 10.0);
+    }
+
+    /// A two-round write op on `[0, 4]` whose chain hops from rank 2 to
+    /// rank 0 mid-storage: work on 2 over `[0, 2.5]`, a sync-wait edge
+    /// on 0 over `[2.5, 3]`, work on 0 to the end.
+    fn hopping_op() -> (Vec<TraceEvent>, BlameChain) {
+        let events = vec![
+            ev(
+                "op",
+                ENGINE_TRACK,
+                span(0.0, 4.0),
+                vec![("dir", AttrVal::Str("write".into()))],
+                0,
+            ),
+            round(0.0, [0.25, 0.25, 1.5, 0.0, 0.0], 2, 1),
+            round(2.0, [0.25, 0.25, 1.5, 0.0, 0.0], 2, 2),
+        ];
+        let seg = |rank, class, from: f64, to: f64| BlameSegment {
+            rank,
+            class,
+            from: VTime::from_secs(from),
+            to: VTime::from_secs(to),
+        };
+        let chain = BlameChain {
+            dir: "write".into(),
+            start: VTime::ZERO,
+            end: VTime::from_secs(4.0),
+            segments: vec![
+                seg(2, SegClass::Work, 0.0, 2.5),
+                seg(0, SegClass::SyncWait, 2.5, 3.0),
+                seg(0, SegClass::Work, 3.0, 4.0),
+            ],
+        };
+        (events, chain)
+    }
+
+    #[test]
+    fn recorded_chain_is_cut_at_phase_boundaries() {
+        let (events, chain) = hopping_op();
+        let a = TraceAnalysis::analyze(&events, Some(vec![chain.clone()])).unwrap();
+        let cp = &a.ops[0];
+        assert_eq!(cp.chain, chain);
+        cp.verify_tiling().expect("bit tiling");
+        let pieces: Vec<(u32, SegClass, Phase, f64, f64)> = cp
+            .segments
+            .iter()
+            .map(|s| (s.rank, s.class, s.phase, s.from.as_secs(), s.to.as_secs()))
+            .collect();
+        use SegClass::{SyncWait, Work};
+        assert_eq!(
+            pieces,
+            vec![
+                (2, Work, Phase::Sync, 0.0, 0.25),
+                (2, Work, Phase::Shuffle, 0.25, 0.5),
+                (2, Work, Phase::Storage, 0.5, 2.0),
+                (2, Work, Phase::Sync, 2.0, 2.25),
+                (2, Work, Phase::Shuffle, 2.25, 2.5),
+                (0, SyncWait, Phase::Storage, 2.5, 3.0),
+                (0, Work, Phase::Storage, 3.0, 4.0),
+            ]
+        );
+        // A storage window the chain crosses in two pieces still
+        // counts once for its straggler.
+        assert_eq!(cp.top_straggler(), Some((2, 2)));
+        // Phase attribution is independent of where the chain hops.
+        let lockstep = TraceAnalysis::from_events(&events).unwrap();
+        for &p in &Phase::ALL {
+            assert_eq!(
+                cp.attribution.get(p).to_bits(),
+                lockstep.ops[0].attribution.get(p).to_bits(),
+                "{}",
+                p.name()
+            );
         }
-        assert!((t.as_secs() - 10.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn identity_reweight_reproduces_the_total_bit_exactly() {
+        let (events, chain) = hopping_op();
+        let a = TraceAnalysis::analyze(&events, Some(vec![chain])).unwrap();
+        let cp = &a.ops[0];
+        assert_eq!(
+            cp.project(|_, _| 1.0).to_bits(),
+            cp.total.as_secs().to_bits(),
+            "no-op re-weight must be bit-identical to the baseline"
+        );
+        let by_name = |n: &str| cp.what_ifs().into_iter().find(|w| w.name == n).unwrap();
+        assert_eq!(by_name("zero-network").projected_secs, 3.5);
+        assert_eq!(by_name("infinite-pfs").projected_secs, 1.0);
+        assert_eq!(by_name("infinite-pfs").speedup, 4.0);
+        assert_eq!(by_name("uniform-memory").speedup, 1.0);
+    }
+
+    #[test]
+    fn chains_that_do_not_pair_with_op_spans_are_errors() {
+        let (events, chain) = hopping_op();
+        let err = TraceAnalysis::analyze(&events, Some(vec![])).unwrap_err();
+        assert!(
+            err.contains("0 blame chain(s) recorded for 1 op span(s)"),
+            "{err}"
+        );
+        let err =
+            TraceAnalysis::analyze(&events, Some(vec![chain.clone(), chain.clone()])).unwrap_err();
+        assert!(err.contains("2 blame chain(s)"), "{err}");
+        // A chain whose window is not the op span to the bit.
+        let mut late = chain;
+        late.end = VTime::from_secs(4.0 + 1e-12);
+        late.segments.last_mut().unwrap().to = late.end;
+        let err = TraceAnalysis::analyze(&events, Some(vec![late])).unwrap_err();
+        assert!(err.contains("but its blame chain spans"), "{err}");
     }
 
     #[test]

@@ -25,18 +25,18 @@
 //! * [`json`] — a small self-contained JSON parser used to validate
 //!   emitted artifacts (the workspace is dependency-free by design);
 //! * [`analyze`] — trace analytics over a sink or a replayed artifact:
-//!   critical-path extraction with per-phase attribution and straggler
-//!   naming, exact per-node memory-occupancy timelines, and structured
-//!   A/B run diffing;
+//!   each op's critical path (its blame chain cut at the engine's phase
+//!   boundaries) with per-phase attribution, straggler naming and
+//!   what-if projection, exact per-node memory-occupancy timelines, and
+//!   structured A/B run diffing;
 //! * [`stream`] — bounded-memory streaming aggregation for extreme
 //!   rank counts: online per-cell statistics, deterministic top-k
 //!   straggler retention, and strided exemplar-rank sampling (used by
 //!   [`ObsSink::streaming`]);
 //! * [`causal`] — message-level happens-before tracing: an online
 //!   longest-path fold over every network delivery (O(ranks + path)
-//!   memory), cross-rank blame chains that tile each op's elapsed time
-//!   to the bit, and what-if projection under re-weighted edge classes
-//!   (armed via [`ObsSink::with_causal`]);
+//!   memory) and cross-rank blame chains that tile each op's elapsed
+//!   time to the bit (armed via [`ObsSink::with_causal`]);
 //! * [`report`] — a self-contained HTML report (inline SVG timeline
 //!   lanes, critical path, occupancy strip charts; zero dependencies).
 //!
@@ -75,10 +75,8 @@ pub mod sink;
 pub mod span;
 pub mod stream;
 
-pub use analyze::{CriticalPath, MemTimeline, Phase, RunDiff, TraceAnalysis, TraceEvent};
-pub use causal::{
-    BlameChain, BlameSegment, CausalAgg, CausalAnalysis, CausalEdge, CausalOp, SegClass, WhatIf,
-};
+pub use analyze::{CriticalPath, MemTimeline, Phase, RunDiff, TraceAnalysis, TraceEvent, WhatIf};
+pub use causal::{BlameChain, BlameSegment, CausalAgg, CausalEdge, SegClass};
 pub use metrics::{Histogram, MetricsRegistry};
 pub use sink::ObsSink;
 pub use span::{

@@ -1,6 +1,7 @@
 //! A self-contained HTML report for one analyzed run: inline SVG
-//! timeline lanes, the critical path highlighted and colored by phase,
-//! per-node occupancy strip charts, and the attribution/counter tables.
+//! timeline lanes, the critical path highlighted and colored by phase
+//! with per-op path and what-if tables, per-node occupancy strip charts,
+//! and the attribution/counter tables.
 //!
 //! The output is a single file with zero external references — no
 //! scripts, stylesheets, fonts, or images — so it can be archived as a
@@ -9,8 +10,7 @@
 
 use std::fmt::Write as _;
 
-use crate::analyze::{MemTimeline, Phase, RunDiff, TraceAnalysis, TraceEvent};
-use crate::causal::SegClass;
+use crate::analyze::{CriticalPath, MemTimeline, Phase, RunDiff, TraceAnalysis, TraceEvent};
 use crate::span::{EventKind, ENGINE_TRACK};
 
 /// Chart width in pixels (time axis).
@@ -50,9 +50,10 @@ pub fn html_escape(s: &str) -> String {
     out
 }
 
-/// Renders the full report: summary, critical-path lanes, rank timeline
-/// lanes, occupancy strip charts, attribution and counter tables, and —
-/// when `diff` is given — the A/B comparison.
+/// Renders the full report: summary, critical-path lanes with each op's
+/// path table and what-if projections, rank timeline lanes, occupancy
+/// strip charts, attribution and counter tables, and — when `diff` is
+/// given — the A/B comparison.
 #[must_use]
 pub fn render(
     title: &str,
@@ -76,7 +77,6 @@ pub fn render(
     lanes_section(&mut out, events, analysis, &scale);
     memory_section(&mut out, &analysis.memory, &scale);
     attribution_section(&mut out, analysis);
-    causal_section(&mut out, analysis);
     streaming_section(&mut out, analysis);
     host_section(&mut out, analysis);
     counters_section(&mut out, analysis);
@@ -176,6 +176,12 @@ fn legend(out: &mut String) {
 
 fn critical_path_section(out: &mut String, analysis: &TraceAnalysis, scale: &Scale) {
     out.push_str("<h2>Critical path</h2>\n");
+    out.push_str(
+        "<p>Each op's blame chain — which rank's work and which message's \
+         flight time the elapsed seconds sit on — cut at the engine's phase \
+         boundaries. Segment joints are bit-equal and the path total is the \
+         op's elapsed virtual time.</p>\n",
+    );
     legend(out);
     let lane_h = 26.0;
     let h = lane_h * analysis.ops.len() as f64 + 4.0;
@@ -187,13 +193,15 @@ fn critical_path_section(out: &mut String, analysis: &TraceAnalysis, scale: &Sca
     for (i, op) in analysis.ops.iter().enumerate() {
         let y = lane_h * i as f64 + 2.0;
         for seg in &op.segments {
-            let x = scale.x(seg.start.as_secs());
-            let w = scale.width(seg.dur.as_secs());
+            let x = scale.x(seg.from.as_secs());
+            let w = scale.width(seg.dur().as_secs());
             let mut tip = format!(
-                "{} {:.6}s @ {:.6}s",
+                "{} {:.6}s @ {:.6}s rank {} {}",
                 seg.phase.name(),
-                seg.dur.as_secs(),
-                seg.start.as_secs()
+                seg.dur().as_secs(),
+                seg.from.as_secs(),
+                seg.rank,
+                seg.class.name()
             );
             if let Some(r) = seg.round {
                 let _ = write!(tip, " round {r}");
@@ -212,6 +220,92 @@ fn critical_path_section(out: &mut String, analysis: &TraceAnalysis, scale: &Sca
         }
     }
     out.push_str("</svg>\n");
+    for (i, op) in analysis.ops.iter().enumerate() {
+        path_table(out, i, op);
+    }
+}
+
+/// Maximum critical-path segment rows rendered per op before eliding.
+const MAX_PATH_ROWS: usize = 96;
+
+/// One op's path as a table — rank, causal class and phase of every
+/// segment — followed by its what-if projections.
+fn path_table(out: &mut String, i: usize, op: &CriticalPath) {
+    let chain = &op.chain;
+    let total = op.total.as_secs();
+    let ranks = chain
+        .ranks()
+        .iter()
+        .map(|r| format!("{r}"))
+        .collect::<Vec<_>>()
+        .join(" → ");
+    let _ = writeln!(
+        out,
+        "<h3 style=\"font-size:13px;margin:10px 0 0\">op {i} ({}) — {total:.6}s, \
+         {} hops via ranks {}; work {:.6}s, wait {:.6}s</h3>",
+        html_escape(&op.dir),
+        chain.hops(),
+        html_escape(&ranks),
+        chain.work_secs(),
+        chain.wait_secs(),
+    );
+    out.push_str(
+        "<table>\n<tr><th>#</th><th>rank</th><th class=\"l\">class</th>\
+         <th class=\"l\">phase</th><th>round</th><th>straggler</th>\
+         <th>from (s)</th><th>to (s)</th><th>dur (s)</th><th>share</th></tr>\n",
+    );
+    fn opt(v: Option<impl std::fmt::Display>) -> String {
+        v.map_or("—".to_string(), |v| v.to_string())
+    }
+    for (j, seg) in op.segments.iter().take(MAX_PATH_ROWS).enumerate() {
+        let dur = seg.dur().as_secs();
+        let share = if total > 0.0 {
+            dur / total * 100.0
+        } else {
+            0.0
+        };
+        let _ = writeln!(
+            out,
+            "<tr><td>{j}</td><td>{}</td><td class=\"l\">{}</td>\
+             <td class=\"l\" style=\"border-left:6px solid {}\">{}</td>\
+             <td>{}</td><td>{}</td>\
+             <td>{:.9}</td><td>{:.9}</td><td>{dur:.9}</td><td>{share:.1}%</td></tr>",
+            seg.rank,
+            seg.class.name(),
+            phase_color(seg.phase),
+            seg.phase.name(),
+            opt(seg.round),
+            opt(seg.straggler),
+            seg.from.as_secs(),
+            seg.to.as_secs(),
+        );
+    }
+    out.push_str("</table>\n");
+    if op.segments.len() > MAX_PATH_ROWS {
+        let _ = writeln!(
+            out,
+            "<p>({} more path segments elided)</p>",
+            op.segments.len() - MAX_PATH_ROWS
+        );
+    }
+    out.push_str(
+        "<table style=\"margin-top:8px\">\n<tr><th class=\"l\">what-if</th>\
+         <th>projected (s)</th><th>speedup</th></tr>\n",
+    );
+    for w in op.what_ifs() {
+        let speedup = if w.speedup.is_finite() {
+            format!("{:.2}&times;", w.speedup)
+        } else {
+            "&#8734;".to_string()
+        };
+        let _ = writeln!(
+            out,
+            "<tr><td class=\"l\">{}</td><td>{:.6}</td><td>{speedup}</td></tr>",
+            html_escape(w.name),
+            w.projected_secs,
+        );
+    }
+    out.push_str("</table>\n");
 }
 
 fn lanes_section(out: &mut String, events: &[TraceEvent], analysis: &TraceAnalysis, scale: &Scale) {
@@ -248,8 +342,8 @@ fn lanes_section(out: &mut String, events: &[TraceEvent], analysis: &TraceAnalys
     );
     for op in &analysis.ops {
         for seg in &op.segments {
-            let x = label_w + scale.x(seg.start.as_secs());
-            let w = scale.width(seg.dur.as_secs());
+            let x = label_w + scale.x(seg.from.as_secs());
+            let w = scale.width(seg.dur().as_secs());
             let _ = writeln!(
                 out,
                 "<rect x=\"{x:.2}\" y=\"{:.1}\" width=\"{w:.2}\" height=\"{:.1}\" \
@@ -420,105 +514,6 @@ fn attribution_section(out: &mut String, analysis: &TraceAnalysis) {
         let _ = writeln!(out, "<td>{:.6}</td></tr>", op.total.as_secs());
     }
     out.push_str("</table>\n");
-}
-
-/// Maximum blame-chain segment rows rendered per op before eliding.
-const MAX_CHAIN_ROWS: usize = 96;
-
-/// The fill color a causal segment class renders with in the chain
-/// table's class cell.
-fn class_color(class: SegClass) -> &'static str {
-    match class {
-        SegClass::Work => "#54a24b",
-        SegClass::SyncWait => "#888888",
-    }
-}
-
-fn causal_section(out: &mut String, analysis: &TraceAnalysis) {
-    let Some(causal) = &analysis.causal else {
-        return;
-    };
-    if causal.is_empty() {
-        return;
-    }
-    out.push_str("<h2>Root cause (blame chains)</h2>\n");
-    out.push_str(
-        "<p>The actual cross-rank happens-before path of each op: which rank's \
-         work and which message's flight time the elapsed seconds sit on. \
-         Segment joints are bit-equal and the chain total is bit-identical to \
-         the op's elapsed virtual time.</p>\n",
-    );
-    for (i, op) in causal.ops.iter().enumerate() {
-        let chain = &op.chain;
-        let total = chain.total().as_secs();
-        let ranks = chain
-            .ranks()
-            .iter()
-            .map(|r| format!("{r}"))
-            .collect::<Vec<_>>()
-            .join(" → ");
-        let _ = writeln!(
-            out,
-            "<h3 style=\"font-size:13px;margin:10px 0 0\">op {i} ({}) — {total:.6}s, \
-             {} hops via ranks {}; work {:.6}s, wait {:.6}s</h3>",
-            html_escape(chain.dir),
-            chain.hops(),
-            html_escape(&ranks),
-            op.work_secs,
-            op.wait_secs,
-        );
-        out.push_str(
-            "<table>\n<tr><th>#</th><th>rank</th><th class=\"l\">class</th>\
-             <th>from (s)</th><th>to (s)</th><th>dur (s)</th><th>share</th></tr>\n",
-        );
-        for (j, seg) in chain.segments.iter().take(MAX_CHAIN_ROWS).enumerate() {
-            let dur = seg.dur().as_secs();
-            let share = if total > 0.0 {
-                dur / total * 100.0
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                out,
-                "<tr><td>{j}</td><td>{}</td>\
-                 <td class=\"l\" style=\"border-left:6px solid {}\">{}</td>\
-                 <td>{:.9}</td><td>{:.9}</td><td>{dur:.9}</td><td>{share:.1}%</td></tr>",
-                seg.rank,
-                class_color(seg.class),
-                seg.class.name(),
-                seg.from.as_secs(),
-                seg.to.as_secs(),
-            );
-        }
-        out.push_str("</table>\n");
-        if chain.segments.len() > MAX_CHAIN_ROWS {
-            let _ = writeln!(
-                out,
-                "<p>({} more chain segments elided)</p>",
-                chain.segments.len() - MAX_CHAIN_ROWS
-            );
-        }
-        if !op.what_ifs.is_empty() {
-            out.push_str(
-                "<table style=\"margin-top:8px\">\n<tr><th class=\"l\">what-if</th>\
-                 <th>projected (s)</th><th>speedup</th></tr>\n",
-            );
-            for w in &op.what_ifs {
-                let speedup = if w.speedup.is_finite() {
-                    format!("{:.2}&times;", w.speedup)
-                } else {
-                    "&#8734;".to_string()
-                };
-                let _ = writeln!(
-                    out,
-                    "<tr><td class=\"l\">{}</td><td>{:.6}</td><td>{speedup}</td></tr>",
-                    html_escape(w.name),
-                    w.projected_secs,
-                );
-            }
-            out.push_str("</table>\n");
-        }
-    }
 }
 
 /// Maximum streaming-attribution cell rows rendered before eliding.
@@ -877,18 +872,18 @@ mod tests {
     }
 
     #[test]
-    fn causal_section_renders_blame_chain_and_what_ifs() {
-        use crate::causal::{CausalAgg, CausalAnalysis};
+    fn critical_path_renders_blame_chain_and_what_ifs() {
+        use crate::causal::CausalAgg;
         use mccio_sim::causal::CausalSink as _;
 
-        let (events, mut analysis) = sample();
+        let (events, _) = sample();
         let agg = CausalAgg::new(true);
         let seq = agg.on_send(0, 1, VTime::from_secs(0.8), 64);
         agg.on_delivery(0, seq, 1, VTime::from_secs(0.2), VTime::from_secs(1.2));
         agg.op_end(1, VTime::ZERO, VTime::from_secs(2.0), "write");
-        analysis.causal = Some(CausalAnalysis::from_chains(&agg.chains(), &analysis.ops));
+        let analysis = TraceAnalysis::analyze(&events, Some(agg.chains())).unwrap();
         let html = render("causal", &events, &analysis, None);
-        assert!(html.contains("Root cause (blame chains)"));
+        assert!(html.contains("1 hops via ranks 0 → 1"));
         assert!(html.contains("sync-wait"));
         assert!(html.contains("zero-network"));
         assert!(html.contains("infinite-pfs"));
@@ -899,7 +894,7 @@ mod tests {
         assert_eq!(
             render("causal", &events, &analysis, None),
             render("causal", &events, &analysis, None),
-            "causal section stays deterministic"
+            "the path tables stay deterministic"
         );
     }
 

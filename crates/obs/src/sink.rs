@@ -24,9 +24,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use mccio_sim::time::{VDuration, VTime};
 
+use crate::analyze::TraceEvent;
 use crate::causal::{BlameChain, CausalAgg, CausalEdge};
 use crate::metrics::MetricsRegistry;
-use crate::span::{AttrValue, Event, EventKind};
+use crate::span::{export_order, AttrValue, Event, EventKind};
 use crate::stream::{StreamAgg, StreamConfig};
 
 #[derive(Debug, Default)]
@@ -255,6 +256,19 @@ impl ObsSink {
             Some(inner) => f(&inner.events.lock().expect("events lock")),
             None => f(&[]),
         }
+    }
+
+    /// The retained events as owned [`TraceEvent`]s in
+    /// [`crate::span::sort_for_export`] order — the mirror the analyzer
+    /// and the HTML report read. The buffer is borrowed, not cloned;
+    /// only the mirror is built.
+    #[must_use]
+    pub fn trace_events(&self) -> Vec<TraceEvent> {
+        self.with_events(|live| {
+            let mut refs: Vec<&Event> = live.iter().collect();
+            refs.sort_by(|a, b| export_order(a, b));
+            refs.into_iter().map(TraceEvent::from_live).collect()
+        })
     }
 
     /// Removes and returns everything recorded so far.

@@ -160,11 +160,14 @@ impl Event {
 /// same start) stay ahead, which is what containment-nesting viewers
 /// expect.
 pub fn sort_for_export(events: &mut [Event]) {
-    events.sort_by(|a, b| {
-        (a.track, a.kind.at().as_secs(), a.seq)
-            .partial_cmp(&(b.track, b.kind.at().as_secs(), b.seq))
-            .expect("virtual times are finite")
-    });
+    events.sort_by(export_order);
+}
+
+/// The [`sort_for_export`] comparator.
+pub(crate) fn export_order(a: &Event, b: &Event) -> std::cmp::Ordering {
+    (a.track, a.kind.at().as_secs(), a.seq)
+        .partial_cmp(&(b.track, b.kind.at().as_secs(), b.seq))
+        .expect("virtual times are finite")
 }
 
 #[cfg(test)]

@@ -3,13 +3,15 @@
 //! time **to the bit**, must be a pure side-channel (virtual time
 //! bit-identical with causal tracing on or off), must be bit-identical
 //! across the thread-per-rank and discrete-event executors — including
-//! under the nastiest crash-recovery schedule in the suite — and the
-//! no-op what-if re-weighting must reproduce the baseline bit-exactly.
+//! under the nastiest crash-recovery schedule in the suite. Each op's
+//! critical path is its chain cut at the phase windows: on a healthy run
+//! it must equal the path analyzed without causal tracing, and the no-op
+//! what-if re-weighting must reproduce the baseline bit-exactly.
 
 use mccio_suite::core::prelude::*;
 use mccio_suite::mpiio::IoReport;
 use mccio_suite::net::ExecutorKind;
-use mccio_suite::obs::{causal, BlameChain, ObsSink, SegClass, StreamConfig, TraceAnalysis};
+use mccio_suite::obs::{BlameChain, ObsSink, Phase, SegClass, StreamConfig, TraceAnalysis};
 use mccio_suite::sim::cost::CostModel;
 use mccio_suite::sim::time::{VDuration, VTime};
 use mccio_suite::sim::topology::{test_cluster, FillOrder, Placement};
@@ -124,21 +126,32 @@ fn blame_chain_tiles_op_elapsed_to_the_bit() {
             let sink = ObsSink::enabled().with_causal();
             let reports = run_traced(&*strategy, kind, &sink, Some(skew_plan()));
             let analysis = TraceAnalysis::of_sink(&sink).expect("analyzable trace");
-            let causal = analysis.causal.as_ref().expect("causal layer populated");
-            assert_eq!(causal.ops.len(), 2, "one chain per op (write, read)");
-            assert_eq!(analysis.ops.len(), 2);
+            assert_eq!(analysis.ops.len(), 2, "one path per op (write, read)");
+            assert!(
+                analysis
+                    .ops
+                    .iter()
+                    .map(|op| &op.chain)
+                    .eq(&sink.causal_chains()),
+                "each path is cut from the chain recorded for its op"
+            );
             let (w0, r0) = &reports[0];
-            for (i, (op, rank0_elapsed)) in
-                causal.ops.iter().zip([w0.elapsed, r0.elapsed]).enumerate()
+            for (i, (op, rank0_elapsed)) in analysis
+                .ops
+                .iter()
+                .zip([w0.elapsed, r0.elapsed])
+                .enumerate()
             {
                 let who = format!("{} {kind:?} op {i}", strategy.name());
                 let chain = &op.chain;
                 assert_well_formed(chain, &who);
+                op.verify_tiling()
+                    .unwrap_or_else(|e| panic!("{who}: path {e}"));
                 // The chain total is the op span's priced duration and
                 // rank 0's reported elapsed time, to the bit.
                 assert_eq!(
                     chain.total().as_secs().to_bits(),
-                    analysis.ops[i].total.as_secs().to_bits(),
+                    op.total.as_secs().to_bits(),
                     "{who}: chain total != critical-path total"
                 );
                 // Under an active fault plan `IoReport.elapsed` spans
@@ -159,9 +172,50 @@ fn blame_chain_tiles_op_elapsed_to_the_bit() {
                 // The wait/work split partitions the total (f64 sums,
                 // so up to rounding).
                 assert!(
-                    (op.wait_secs + op.work_secs - chain.total().as_secs()).abs() < 1e-9,
+                    (chain.wait_secs() + chain.work_secs() - chain.total().as_secs()).abs() < 1e-9,
                     "{who}: wait+work does not partition the total"
                 );
+            }
+        }
+    }
+}
+
+#[test]
+fn one_model_reproduces_the_lockstep_tiling() {
+    // On a healthy run the recorded chain is one work segment on rank
+    // 0, so cutting it at the phase windows must give exactly the path
+    // an untraced-causality analysis synthesizes: same segments, same
+    // attribution to the bit, on both executors.
+    for strategy in both_collectives() {
+        for kind in [ExecutorKind::Threads, ExecutorKind::Event] {
+            let plain = ObsSink::enabled();
+            run_traced(&*strategy, kind, &plain, None);
+            let armed = ObsSink::enabled().with_causal();
+            run_traced(&*strategy, kind, &armed, None);
+            let plain = TraceAnalysis::of_sink(&plain).expect("plain trace analyzes");
+            let armed = TraceAnalysis::of_sink(&armed).expect("causal trace analyzes");
+            assert_eq!(plain.ops.len(), 2);
+            assert_eq!(armed.ops.len(), 2);
+            let bits = |t: VTime| t.as_secs().to_bits();
+            for (i, (p, c)) in plain.ops.iter().zip(&armed.ops).enumerate() {
+                let who = format!("{} {kind:?} op {i}", strategy.name());
+                assert_eq!(p.chain, c.chain, "{who}: lock-step chain");
+                assert_eq!(p.segments.len(), c.segments.len(), "{who}");
+                for (j, (a, b)) in p.segments.iter().zip(&c.segments).enumerate() {
+                    assert_eq!(bits(a.from), bits(b.from), "{who} segment {j} from");
+                    assert_eq!(bits(a.to), bits(b.to), "{who} segment {j} to");
+                    assert_eq!(a.phase, b.phase, "{who} segment {j} phase");
+                    assert_eq!(a.round, b.round, "{who} segment {j} round");
+                    assert_eq!(a.straggler, b.straggler, "{who} segment {j} straggler");
+                }
+                for &phase in &Phase::ALL {
+                    assert_eq!(
+                        p.attribution.get(phase).to_bits(),
+                        c.attribution.get(phase).to_bits(),
+                        "{who}: {} attribution",
+                        phase.name()
+                    );
+                }
             }
         }
     }
@@ -259,37 +313,35 @@ fn identity_what_if_reproduces_baseline_bit_exactly() {
         Some(skew_plan()),
     );
     let analysis = TraceAnalysis::of_sink(&sink).unwrap();
-    let causal = analysis.causal.as_ref().unwrap();
-    for (i, op) in causal.ops.iter().enumerate() {
-        let chain = &op.chain;
-        let path = &analysis.ops[i];
-        // Refined against the real PR 5 phase tiling, the identity
-        // re-weighting must reproduce the total bit-exactly.
-        let refined = causal::refine(chain, Some(path));
-        let projected = causal::project(chain, &refined, |_, _| 1.0);
+    for (i, op) in analysis.ops.iter().enumerate() {
+        let total = op.total.as_secs();
+        // Cut at the real phase windows, the identity re-weighting
+        // must reproduce the total bit-exactly.
         assert_eq!(
-            projected.to_bits(),
-            chain.total().as_secs().to_bits(),
+            op.project(|_, _| 1.0).to_bits(),
+            total.to_bits(),
             "op {i}: no-op re-weight must be bit-identical to the baseline"
         );
         // Real scenarios can only help, and zero-network must help on
         // any chain with a message hop.
-        for w in &op.what_ifs {
+        let what_ifs = op.what_ifs();
+        for w in &what_ifs {
             assert!(
-                w.projected_secs <= chain.total().as_secs() + 1e-12,
+                w.projected_secs <= total + 1e-12,
                 "op {i} {}: projection exceeds the baseline",
                 w.name
             );
             assert!(w.speedup >= 1.0, "op {i} {}: speedup below 1", w.name);
         }
-        let zero_net = op
-            .what_ifs
-            .iter()
-            .find(|w| w.name == "zero-network")
-            .unwrap();
+        let by_name = |n: &str| what_ifs.iter().find(|w| w.name == n).unwrap();
         assert!(
-            zero_net.projected_secs < chain.total().as_secs(),
+            by_name("zero-network").projected_secs < total,
             "op {i}: zero-network must remove the chain's wait time"
+        );
+        // Storage holds time in every round, so freeing it must help.
+        assert!(
+            by_name("infinite-pfs").projected_secs < total,
+            "op {i}: infinite-pfs must remove the storage phases"
         );
     }
 }

@@ -114,7 +114,7 @@ fn records_cover_both_directions_with_full_volume() {
                 .segments
                 .iter()
                 .filter(|s| s.round == Some(i))
-                .map(|s| s.dur.as_secs())
+                .map(|s| s.dur().as_secs())
                 .sum();
             assert!(secs > 0.0, "{dir} round {i} is priced");
         }

@@ -131,7 +131,7 @@ fn main() {
     println!("{json}");
     eprintln!(
         "chaos: {} runs, {} mismatches, {} crashes detected, {} re-elections, \
-         {} rounds replayed, {} payload checksums verified -> {path}",
+         {} rounds replayed, {} message checksums verified -> {path}",
         rows.len(),
         mismatches,
         total.crashes_detected,

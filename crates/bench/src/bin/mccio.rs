@@ -265,7 +265,7 @@ fn main() {
     if m.any() {
         println!(
             "engine   : {} rounds, shuffle {}, storage {} in {} requests, \
-             pool {}/{} hits",
+             assembly pool {}/{} hits",
             m.rounds,
             fmt_bytes(m.shuffle_bytes),
             fmt_bytes(m.storage_bytes),

@@ -238,7 +238,7 @@ fn main() {
                 r.traffic.data_msgs + r.traffic.ctl_msgs
             );
             eprintln!(
-                "  pool hits {} misses {}, recycler takes {} returns {}, peak held {} KiB",
+                "  assembly pool hits {} misses {}, recycler takes {} returns {}, peak held {} KiB",
                 r.metrics.pool_hits,
                 r.metrics.pool_misses,
                 r.metrics.recycle_takes,

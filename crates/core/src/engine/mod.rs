@@ -20,22 +20,28 @@
 //!
 //! Before the first byte moves, the executor builds the operation's
 //! [`crate::schedule::CommSchedule`] — per round: send destinations
-//! with exact payload sizes, receive lists, and each aggregated
-//! window's union layout and assembly size. The round loop is then pure
-//! data movement, with payload and assembly buffers recycled through a
-//! bounded pool instead of reallocated per window per round. The
-//! schedule reproduces the legacy per-round discovery exactly, so
-//! virtual time, file bytes, and traffic are bit-identical
-//! (`tests/golden_determinism.rs`) while wall-clock drops (measured
-//! by the workspace benchmark, `perfbench/`).
+//! with exact wire sizes, receive lists, each aggregated window's union
+//! layout and assembly size, and where every piece sits in its owner's
+//! packed buffer. The round loop is then pure data movement: each rank
+//! exposes its request (write) or output (read) through the world's
+//! exposure table (`mccio_net::expose`) and aggregators copy every byte
+//! once per direction, straight between those buffers and the file;
+//! shuffle messages carry the wire sizes, not the bytes. Assembly
+//! buffers for windows with holes are recycled through a bounded pool
+//! instead of reallocated per window per round. The schedule
+//! reproduces the legacy per-round discovery exactly, so virtual time,
+//! file bytes, and traffic are bit-identical
+//! (`tests/golden_determinism.rs`) while wall-clock and memory drop
+//! (measured by the workspace benchmark, `perfbench/`).
 //!
 //! The module tree separates the phases every operation shares from the
 //! one thing that differs between directions:
 //!
 //! * [`env`](self) — [`IoEnv`], the environment operations run against;
-//! * `wire` — section/fact codecs for shuffle and pricing messages;
+//! * `wire` — the crash-gated integrity hash shuffle messages carry and
+//!   the fact codec of pricing messages;
 //! * `pool` — the bounded buffer free-list the round loop recycles
-//!   assembly and payload buffers through;
+//!   assembly buffers through;
 //! * `prologue` — clock sync, fault application, collective reservation,
 //!   and the matching epilogue;
 //! * `rounds` — the single direction-agnostic round executor, driven by

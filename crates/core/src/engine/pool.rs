@@ -1,30 +1,29 @@
-//! A small free-list of byte buffers reused across rounds and domains.
+//! A small free-list of assembly buffers reused across rounds and
+//! domains.
 //!
-//! The round loop used to allocate fresh `vec![0u8; …]` assembly
-//! buffers and growable payload `Vec`s every window of every round; at
-//! MiB scale each of those is an `mmap`/`munmap` pair plus page faults
-//! on first touch. The pool keeps a bounded number of retired buffers —
-//! assembly buffers after their sieved access, received shuffle
-//! payloads after their bytes are absorbed, fetched window buffers
-//! after scatter — and hands them back out sized from the scheduled
-//! byte counts.
+//! Windows with holes assemble their pieces into a buffer before the
+//! sieve's read-modify-write, and sieved reads fetch into one before the
+//! pieces are copied out; at MiB scale a fresh `vec![0u8; …]` per window
+//! per round is an `mmap`/`munmap` pair plus page faults on first touch.
+//! The pool keeps a bounded number of retired buffers and hands them
+//! back out sized from the scheduled byte counts. Hole-free windows need
+//! no buffer at all, and shuffle messages carry no bytes (the
+//! aggregators copy through the exposure table), so assembly buffers are
+//! the pool's only tenants.
 //!
-//! Buffer *contents* never leak between uses: [`BufferPool::take`]
-//! returns an empty (cleared) buffer for append-style encoding and
-//! [`BufferPool::loan_filled`] a zero-filled one, exactly matching what
-//! fresh allocation produced — pooling is invisible to the wire format,
-//! the file bytes, and virtual time.
+//! Buffer *contents* never leak between uses: [`BufferPool::loan`]
+//! returns an empty (cleared) buffer and [`BufferPool::loan_filled`] a
+//! zero-filled one, exactly matching what fresh allocation produced —
+//! pooling is invisible to the file bytes and virtual time.
 //!
 //! ## Leak safety
 //!
-//! Loop-local buffers are handed out as [`PoolLoan`] RAII guards that
-//! return themselves on drop, so an early `?`-return from a faulted
-//! storage access can no longer strand a buffer outside the pool.
-//! Buffers whose ownership genuinely leaves the rank (encoded shuffle
-//! payloads moved into the wire) use the untracked [`BufferPool::take`]
-//! / [`BufferPool::put`] pair. [`BufferPool::loans_outstanding`] counts
-//! live loans; the epilogue asserts it is zero so any future leak fails
-//! loudly instead of silently bloating allocation.
+//! Buffers are handed out as [`PoolLoan`] RAII guards that return
+//! themselves on drop, so an early `?`-return from a faulted storage
+//! access can never strand a buffer outside the pool.
+//! [`BufferPool::loans_outstanding`] counts live loans; the epilogue
+//! asserts it is zero so any future leak fails loudly instead of
+//! silently bloating allocation.
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -101,8 +100,8 @@ impl Inner {
     }
 
     fn put(&mut self, buf: Vec<u8>) {
-        // Saturating: callers may retire buffers the pool never handed
-        // out (or grew while outstanding), so held accounting is a floor.
+        // Saturating: a loan may have grown while outstanding, so held
+        // accounting is a floor.
         self.held_bytes = self.held_bytes.saturating_sub(buf.capacity() as u64);
         if buf.capacity() == 0 {
             return;
@@ -144,7 +143,7 @@ pub(super) struct PoolStats {
     /// Buffers retired into the world recycler.
     pub(super) recycle_returns: u64,
     /// High-water mark of buffer bytes held out of the pool at once.
-    pub(super) payload_peak_bytes: u64,
+    pub(super) peak_bytes: u64,
 }
 
 /// A bounded free-list of byte buffers (see module docs). Interior
@@ -169,17 +168,8 @@ impl BufferPool {
         }
     }
 
-    /// An empty buffer with at least `cap` bytes of capacity, preferring
-    /// a retired buffer that already fits. Untracked: for buffers whose
-    /// ownership leaves this rank (wire payloads). Pair with
-    /// [`BufferPool::put`] where the buffer comes back.
-    pub(super) fn take(&self, cap: usize) -> Vec<u8> {
-        self.inner.borrow_mut().take(cap)
-    }
-
     /// A tracked, auto-returning empty buffer with at least `cap` bytes
-    /// of capacity — the default for loop-local assembly/staging
-    /// buffers.
+    /// of capacity, preferring a retired buffer that already fits.
     pub(super) fn loan(&self, cap: usize) -> PoolLoan<'_> {
         let buf = {
             let mut inner = self.inner.borrow_mut();
@@ -211,19 +201,13 @@ impl BufferPool {
             misses: inner.misses,
             recycle_takes: inner.shared_takes,
             recycle_returns: inner.shared_returns,
-            payload_peak_bytes: inner.peak_held_bytes,
+            peak_bytes: inner.peak_held_bytes,
         }
     }
 
     /// Live loans not yet dropped; the epilogue asserts this is zero.
     pub(super) fn loans_outstanding(&self) -> u64 {
         self.inner.borrow().outstanding
-    }
-
-    /// Retires a buffer into the pool (dropped if the pool is full or
-    /// the buffer holds no allocation).
-    pub(super) fn put(&self, buf: Vec<u8>) {
-        self.inner.borrow_mut().put(buf);
     }
 }
 
@@ -265,22 +249,22 @@ mod tests {
     #[test]
     fn reuses_capacity_and_clears_contents() {
         let pool = BufferPool::default();
-        let mut a = pool.take(64);
+        let mut a = pool.loan(64);
         a.extend_from_slice(&[7u8; 64]);
         let ptr = a.as_ptr();
-        pool.put(a);
-        let b = pool.take(32);
+        drop(a);
+        let b = pool.loan(32);
         assert_eq!(b.as_ptr(), ptr, "buffer not reused");
         assert!(b.is_empty());
         assert!(b.capacity() >= 64);
     }
 
     #[test]
-    fn take_filled_is_zeroed() {
+    fn loan_filled_is_zeroed() {
         let pool = BufferPool::default();
-        let mut a = pool.take(8);
+        let mut a = pool.loan(8);
         a.extend_from_slice(&[0xFFu8; 8]);
-        pool.put(a);
+        drop(a);
         let b = pool.loan_filled(8);
         assert_eq!(*b, vec![0u8; 8]);
     }
@@ -288,19 +272,17 @@ mod tests {
     #[test]
     fn prefers_a_buffer_that_already_fits() {
         let pool = BufferPool::default();
-        pool.put(Vec::with_capacity(8));
-        pool.put(Vec::with_capacity(256));
-        let v = pool.take(100);
+        drop((pool.loan(8), pool.loan(256)));
+        let v = pool.loan(100);
         assert!(v.capacity() >= 256, "should pick the larger retiree");
     }
 
     #[test]
     fn hit_miss_accounting() {
         let pool = BufferPool::default();
-        let a = pool.take(16);
-        pool.put(a);
-        let _b = pool.take(8);
-        let _c = pool.take(1024);
+        drop(pool.loan(16));
+        drop(pool.loan(8));
+        drop(pool.loan(1024));
         let s = pool.finish();
         assert_eq!((s.hits, s.misses), (1, 2));
     }
@@ -309,17 +291,17 @@ mod tests {
     fn shared_backing_recycles_across_pool_lifetimes() {
         let shared = Arc::new(BytePool::default());
         let first = BufferPool::backed(Arc::clone(&shared));
-        let mut a = first.take(1 << 12);
+        let mut a = first.loan(1 << 12);
         a.extend_from_slice(&[9u8; 100]);
         let ptr = a.as_ptr();
-        first.put(a);
+        drop(a);
         let s = first.finish();
         assert_eq!(s.recycle_takes, 1, "fresh alloc drawn through recycler");
         assert_eq!(s.recycle_returns, 1, "end-of-op drain counted");
-        assert!(s.payload_peak_bytes >= 1 << 12);
+        assert!(s.peak_bytes >= 1 << 12);
 
         let second = BufferPool::backed(Arc::clone(&shared));
-        let b = second.take(1 << 12);
+        let b = second.loan(1 << 12);
         assert_eq!(b.as_ptr(), ptr, "buffer survived the pool boundary");
         assert!(b.is_empty());
         assert_eq!(shared.stats().hits, 1);
@@ -328,11 +310,10 @@ mod tests {
     #[test]
     fn pool_is_bounded() {
         let pool = BufferPool::default();
-        for _ in 0..POOL_CAP + 10 {
-            pool.put(Vec::with_capacity(16));
-        }
+        let loans: Vec<_> = (0..POOL_CAP + 10).map(|_| pool.loan(16)).collect();
+        drop(loans);
         assert_eq!(pool.inner.borrow().free.len(), POOL_CAP);
-        pool.put(Vec::new()); // no allocation -> not retained
+        pool.inner.borrow_mut().put(Vec::new()); // no allocation -> not retained
         assert_eq!(pool.inner.borrow().free.len(), POOL_CAP);
     }
 
@@ -348,7 +329,7 @@ mod tests {
         };
         assert!(attempt(&pool).is_err());
         assert_eq!(pool.loans_outstanding(), 0, "loan returned on unwind");
-        let b = pool.take(64);
+        let b = pool.loan(64);
         assert!(b.capacity() >= 128, "errored loan's buffer was pooled");
     }
 

@@ -33,7 +33,7 @@ pub(super) struct OpState {
     pub(super) active: bool,
     /// This rank's per-operation transient-failure context.
     pub(super) faults: IoFaults,
-    /// Assembly/payload buffers recycled across rounds and domains.
+    /// Assembly buffers recycled across rounds and domains.
     pub(super) pool: BufferPool,
     /// Per-rank engine counters accumulated across the round loop
     /// (local facts only — filling them never moves virtual time).
@@ -272,7 +272,7 @@ pub(super) fn close(
     metrics.pool_misses = pstats.misses;
     metrics.recycle_takes = pstats.recycle_takes;
     metrics.recycle_returns = pstats.recycle_returns;
-    metrics.payload_peak_bytes = pstats.payload_peak_bytes;
+    metrics.payload_peak_bytes = pstats.peak_bytes;
     let obs = env.obs();
     if obs.is_enabled() {
         obs.counter_add("pool.hits", pstats.hits);

@@ -6,57 +6,62 @@
 //! before the shuffle and which bytes it absorbs after — is the only
 //! thing [`Op`] varies:
 //!
-//! * [`Op::Write`]: clients ship the scheduled pieces of their request
-//!   to each window's aggregator (shuffle); aggregators store each
-//!   window with one priced storage access — gathered straight from
-//!   the payloads when the union is hole-free, assembled and sieved
-//!   when it is not;
+//! * [`Op::Write`]: clients send each window's aggregator one message
+//!   per round (shuffle); aggregators store each window with one priced
+//!   storage access, copying the scheduled pieces straight out of the
+//!   clients' packed requests — into the file when the union is
+//!   hole-free, into an assembly buffer sieved back when it is not;
 //! * [`Op::Read`]: aggregators fetch their windows with one priced
 //!   access (a zero-copy file view when hole-free, a sieved read
-//!   otherwise) and scatter the scheduled pieces back to the
-//!   requesting ranks.
+//!   otherwise), copy the scheduled pieces straight into the requesting
+//!   ranks' outputs, and send each one message.
+//!
+//! Each byte is copied once per direction: every rank exposes its
+//! request (write) or its output (read) through the world's exposure
+//! table for the whole operation (`mccio_net::expose`), and the
+//! messages carry the scheduled wire sizes, not the bytes — under a
+//! crash plan, the FNV-1a of the source ranges they stand for.
 //!
 //! Nothing is discovered here: send destinations, receive lists, piece
 //! routings, union layouts, and buffer sizes all come from the
 //! [`CommSchedule`] built once per operation, so the loop is pure data
-//! movement — payloads are allocated at exact final size, and assembly
-//! buffers are recycled through the [`BufferPool`] instead of
-//! reallocated per window per round. Everything else — prologue,
-//! reservation, exchange, pricing, epilogue — is shared code in the
-//! sibling modules, which keeps the comparison between strategies
+//! movement, with assembly buffers recycled through the [`BufferPool`]
+//! instead of reallocated per window per round. Everything else —
+//! prologue, reservation, exchange, pricing, epilogue — is shared code
+//! in the sibling modules, which keeps the comparison between strategies
 //! honest and every future engine capability paid for exactly once.
 
+use std::sync::Arc;
+
 use mccio_mpiio::sieve::{sieved_read_into, sieved_write_r};
-use mccio_mpiio::{ExtentList, GroupPattern, IoReport, Resilience};
-use mccio_net::wire::put_u64;
-use mccio_net::Ctx;
+use mccio_mpiio::{Extent, ExtentList, GroupPattern, IoReport, Resilience};
+use mccio_net::{Ctx, Exposed, ExposureTable};
 use mccio_obs::{AttrValue, ENGINE_TRACK};
 use mccio_pfs::{FileHandle, IoFaults, ServiceReport};
 use mccio_sim::error::SimResult;
 
 use crate::plan::CollectivePlan;
-use crate::schedule::{CommSchedule, RoundSchedule};
+use crate::schedule::{CommSchedule, RoundSchedule, SendDst, WindowSchedule};
 
 use super::env::IoEnv;
 use super::pool::BufferPool;
 use super::prologue::{self, drive_storage};
 use super::recover::CrashTracker;
 use super::settle::settle_round;
-use super::wire::{
-    append_section, decode_sections, retry_delta, seal_payload, verify_payload, SectionRef,
-};
+use super::wire::{check_hash, fnv1a, hash_body, retry_delta, FNV_BASIS};
 
 /// The data plane of a collective operation: what varies between the
 /// write and read directions of the round loop.
 #[derive(Clone, Copy)]
 pub(super) enum Op<'d> {
-    /// Clients push `data` (this rank's extents packed in offset order)
-    /// to aggregators, which assemble and store it.
+    /// Aggregators copy `data` (this rank's extents packed in offset
+    /// order) into the file.
     Write {
-        /// This rank's payload, packed in extent offset order.
+        /// This rank's request, packed in extent offset order.
         data: &'d [u8],
     },
-    /// Aggregators fetch their windows and scatter the pieces back.
+    /// Aggregators fetch their windows and copy the pieces into the
+    /// requesting ranks' outputs.
     Read,
 }
 
@@ -69,7 +74,7 @@ pub(super) struct RoundFacts {
     pub(super) flows: Vec<(usize, u64)>,
     /// Bytes this rank assembled in aggregation buffers.
     pub(super) assembled: u64,
-    /// Payload checksums this rank verified (crash-gated, else zero).
+    /// Message hashes this rank verified (crash-gated, else zero).
     pub(super) integrity: u64,
 }
 
@@ -93,9 +98,43 @@ pub(super) fn execute_op(
     op: Op<'_>,
     res: &mut Resilience,
 ) -> SimResult<(Option<Vec<u8>>, IoReport)> {
-    if let Op::Write { data } = op {
-        debug_assert!(data.len() as u64 >= my_extents.total_bytes());
+    // The exposure spans the whole op: it opens before the prologue's
+    // first collective and closes after the epilogue, so every peer's
+    // access — each ordered before its own round's settlement — lands
+    // inside it (see `mccio_net::expose`).
+    let world = Arc::clone(ctx.world());
+    let table = world.exposure();
+    let me = ctx.rank();
+    let run = |ctx: &mut Ctx, res: &mut Resilience| {
+        run_rounds(ctx, env, table, handle, plan, pattern, my_extents, op, res)
+    };
+    match op {
+        Op::Write { data } => {
+            debug_assert!(data.len() as u64 >= my_extents.total_bytes());
+            let report = table.scope(me, Exposed::Source(data), || run(ctx, res))?;
+            Ok((None, report))
+        }
+        Op::Read => {
+            let mut out = vec![0u8; my_extents.total_bytes() as usize];
+            let report = table.scope(me, Exposed::Sink(&mut out), || run(ctx, res))?;
+            Ok((Some(out), report))
+        }
     }
+}
+
+/// The op inside its exposure scope: prologue, rounds, epilogue.
+#[allow(clippy::too_many_arguments)]
+fn run_rounds(
+    ctx: &mut Ctx,
+    env: &IoEnv,
+    table: &ExposureTable,
+    handle: &FileHandle,
+    plan: &CollectivePlan,
+    pattern: &GroupPattern,
+    my_extents: &ExtentList,
+    op: Op<'_>,
+    res: &mut Resilience,
+) -> SimResult<IoReport> {
     let mut state = prologue::open(ctx, env, plan, res)?;
     let me = ctx.rank();
     // Arm causal tracing on the world the first time an op runs with a
@@ -104,7 +143,7 @@ pub(super) fn execute_op(
     if let Some(hook) = env.obs().causal_hook() {
         ctx.world().install_causal(hook);
     }
-    // Everything crash recovery needs — payload checksums, the agreed
+    // Everything crash recovery needs — message hashes, the agreed
     // clock, the mutable live plan — is gated on the plan actually
     // scheduling crashes, so crash-free runs execute the exact healthy
     // path (bit-identical goldens).
@@ -132,12 +171,6 @@ pub(super) fn execute_op(
             ],
         );
     }
-    let my_cum = my_extents.cumulative_offsets();
-    let mut out = match op {
-        Op::Write { .. } => None,
-        Op::Read => Some(vec![0u8; my_extents.total_bytes() as usize]),
-    };
-
     let n_rounds = schedule.rounds.len();
     for round in 0..n_rounds {
         let log_before = state.faults.log;
@@ -172,11 +205,12 @@ pub(super) fn execute_op(
         // --- contribute: what this rank puts on the wire ---
         let (sends, recv_from) = match op {
             Op::Write { data } => (
-                client_sends(rs, data, &mut facts, &state.pool, integrity),
+                client_sends(rs, data, &mut facts, integrity),
                 rs.agg_sources.as_slice(),
             ),
             Op::Read => (
-                fetch_and_scatter_sends(
+                fetch_and_scatter(
+                    table,
                     handle,
                     rs,
                     &mut state.faults,
@@ -195,24 +229,18 @@ pub(super) fn execute_op(
         // --- absorb: what this rank does with what arrived ---
         match op {
             Op::Write { .. } => aggregate_and_store(
+                table,
                 handle,
                 rs,
-                received,
+                &received,
                 &mut state.faults,
                 &mut report,
                 &mut facts,
                 &state.pool,
                 integrity,
             ),
-            Op::Read => scatter_into(
-                my_extents,
-                &my_cum,
-                received,
-                out.as_mut().expect("read allocates its output buffer"),
-                &mut facts,
-                &state.pool,
-                integrity,
-            ),
+            Op::Read if integrity => verify_scatter(table, me, rs, &received, &mut facts),
+            Op::Read => {}
         }
 
         let delta = retry_delta(state.faults.log, log_before);
@@ -286,144 +314,155 @@ pub(super) fn execute_op(
         // its total is bit-equal to the span duration by construction.
         obs.causal_op_end(t0, ctx.clock(), dir);
     }
-    Ok((out, report))
+    Ok(report)
 }
 
-/// Write contribute-half: encode the scheduled pieces of this rank's
-/// request, one exact-size payload per destination aggregator. The
-/// section count is known up front, so each payload is written straight
-/// through with no patching and no reallocation.
+/// One message per destination at its scheduled wire size. Bodies are
+/// empty, or under a crash plan (`hashes` non-empty) each carries its
+/// destination's integrity hash.
+fn messages(dsts: &[SendDst], hashes: &[u64]) -> Vec<(usize, u64, Vec<u8>)> {
+    dsts.iter()
+        .enumerate()
+        .map(|(i, d)| {
+            let body = hashes.get(i).map_or_else(Vec::new, |&h| hash_body(h));
+            (d.rank, d.payload_bytes as u64, body)
+        })
+        .collect()
+}
+
+/// Integrity hashes for `n` destinations under a crash plan; none
+/// otherwise, so every hash fold below is skipped.
+fn hash_slots(integrity: bool, n: usize) -> Vec<u64> {
+    if integrity {
+        vec![FNV_BASIS; n]
+    } else {
+        Vec::new()
+    }
+}
+
+/// Write contribute-half: one message per destination aggregator. The
+/// aggregators copy the pieces straight out of this rank's exposed
+/// `data`; under a crash plan each message carries the FNV-1a of the
+/// pieces it stands for, in schedule order.
 fn client_sends(
     rs: &RoundSchedule,
     data: &[u8],
     facts: &mut RoundFacts,
-    pool: &BufferPool,
     integrity: bool,
-) -> Vec<(usize, Vec<u8>)> {
-    let mut per_dst: Vec<(usize, Vec<u8>)> = rs
-        .client_dsts
-        .iter()
-        .map(|d| {
-            let mut buf = pool.take(d.payload_bytes);
-            put_u64(&mut buf, d.sections);
-            (d.rank, buf)
-        })
-        .collect();
+) -> Vec<(usize, u64, Vec<u8>)> {
+    let mut hashes = hash_slots(integrity, rs.client_dsts.len());
     for cw in &rs.client_windows {
         facts.flows.push((rs.client_dsts[cw.dst].rank, cw.bytes));
-        let buf = &mut per_dst[cw.dst].1;
-        put_u64(buf, cw.domain as u64);
-        put_u64(buf, cw.pieces.len() as u64);
-        for (e, _) in &cw.pieces {
-            put_u64(buf, e.offset);
-            put_u64(buf, e.len);
-        }
-        for &(e, start) in &cw.pieces {
-            let start = start as usize;
-            buf.extend_from_slice(&data[start..start + e.len as usize]);
+        if let Some(h) = hashes.get_mut(cw.dst) {
+            for &(e, start) in &cw.pieces {
+                *h = fnv1a(*h, &data[start as usize..(start + e.len) as usize]);
+            }
         }
     }
-    if integrity {
-        for (_, buf) in &mut per_dst {
-            seal_payload(buf);
-        }
-    }
-    per_dst
+    messages(&rs.client_dsts, &hashes)
 }
 
-/// Write absorb-half: decode received sections and store each scheduled
-/// window. A hole-free window (single-extent union) gathers the pieces
-/// straight into the file as the one span write the sieve would issue —
-/// no assembly buffer at all; a window with holes assembles into a
-/// pooled buffer and goes through the sieve's read-modify-write.
-/// Payloads and assembly buffers retire into the pool for the next
-/// round.
+/// Copies every scheduled piece of window `ws` out of its client's
+/// exposed request into `dst`, at `pos_of(piece)`. Clients apply in
+/// ascending rank order, so overlapping writers resolve to the highest
+/// rank's bytes.
+fn gather_window(
+    table: &ExposureTable,
+    ws: &WindowSchedule,
+    dst: &mut [u8],
+    pos_of: impl Fn(Extent) -> usize,
+) {
+    for rp in &ws.per_rank {
+        for &(e, start) in &rp.pieces {
+            let pos = pos_of(e);
+            table.read(rp.rank, start as usize, e.len as usize, |src| {
+                dst[pos..pos + src.len()].copy_from_slice(src);
+            });
+        }
+    }
+}
+
+/// Write absorb-half: store each scheduled window, copying the pieces
+/// straight out of the clients' exposed requests. A hole-free window
+/// (single-extent union) gathers into the file as the one span write the
+/// sieve would issue — no assembly buffer at all; a window with holes
+/// assembles into a pooled buffer and goes through the sieve's
+/// read-modify-write. Under a crash plan every arrived message's hash is
+/// checked against the client's bytes first.
 #[allow(clippy::too_many_arguments)]
 fn aggregate_and_store(
+    table: &ExposureTable,
     handle: &FileHandle,
     rs: &RoundSchedule,
-    received: Vec<(usize, Vec<u8>)>,
+    received: &[(usize, Vec<u8>)],
     faults: &mut IoFaults,
     report: &mut ServiceReport,
     facts: &mut RoundFacts,
     pool: &BufferPool,
     integrity: bool,
 ) {
-    // Pass 1: decode section references (no byte copies), verifying the
-    // end-to-end checksum first under a crash plan. The decoded ranges
-    // index into the payload from its start, so verifying (a body
-    // prefix) and decoding compose without a copy.
-    let decoded: Vec<(Vec<u8>, Vec<SectionRef>)> = received
-        .into_iter()
-        .map(|(_, payload)| {
-            let sections = if integrity {
-                facts.integrity += 1;
-                decode_sections(verify_payload(&payload))
-            } else {
-                decode_sections(&payload)
-            };
-            (payload, sections)
-        })
-        .collect();
-    // Pass 2: move payload bytes into the file, one priced access per
-    // window.
+    if integrity {
+        for (src, body) in received {
+            let pieces = rs
+                .agg_windows
+                .iter()
+                .flat_map(|ws| &ws.per_rank)
+                .filter(|rp| rp.rank == *src)
+                .flat_map(|rp| &rp.pieces);
+            verify_message(table, *src, pieces, *src, body, facts);
+        }
+    }
     for ws in &rs.agg_windows {
         facts.assembled += ws.assembly_bytes;
         if let [span] = ws.union.as_slice() {
             // The union tiles the span, so the sieve would blind-write
-            // exactly this range; scatter the pieces into it directly.
-            // Piece application order matches the assembly path
-            // (payload arrival order), so overlapping writers resolve
-            // identically.
+            // exactly this range; gather the pieces into it directly.
             let r = drive_storage(faults, |f| {
                 handle.try_write_at_with(span.offset, span.len, f, |dst| {
-                    for (payload, sections) in &decoded {
-                        for (sd, pieces) in sections {
-                            if *sd as usize != ws.domain {
-                                continue;
-                            }
-                            for (e, range) in pieces {
-                                let pos = (e.offset - span.offset) as usize;
-                                dst[pos..pos + e.len as usize]
-                                    .copy_from_slice(&payload[range.clone()]);
-                            }
-                        }
-                    }
+                    gather_window(table, ws, dst, |e| (e.offset - span.offset) as usize);
                 })
             });
             report.merge(&r);
             continue;
         }
         let mut buf = pool.loan_filled(ws.assembly_bytes as usize);
-        for (payload, sections) in &decoded {
-            for (sd, pieces) in sections {
-                if *sd as usize != ws.domain {
-                    continue;
-                }
-                for (e, range) in pieces {
-                    let pos = ws.position(e.offset);
-                    buf[pos..pos + e.len as usize].copy_from_slice(&payload[range.clone()]);
-                }
-            }
-        }
+        gather_window(table, ws, &mut buf, |e| ws.position(e.offset));
         let out = drive_storage(faults, |f| {
             sieved_write_r(handle, &ws.union, &buf, ws.sieve(), f)
         });
         report.merge(&out.report);
     }
-    for (payload, _) in decoded {
-        pool.put(payload);
+}
+
+/// Copies every scheduled piece of window `ws` from `src_of(piece)` into
+/// its requesting rank's exposed output, folding it into that rank's
+/// message hash under a crash plan (`hashes` non-empty).
+fn scatter_window<'v>(
+    table: &ExposureTable,
+    ws: &WindowSchedule,
+    hashes: &mut [u64],
+    src_of: impl Fn(Extent) -> &'v [u8],
+) {
+    for rp in &ws.per_rank {
+        for &(e, start) in &rp.pieces {
+            let src = src_of(e);
+            if let Some(h) = hashes.get_mut(rp.dst) {
+                *h = fnv1a(*h, src);
+            }
+            table.write(rp.rank, start as usize, src);
+        }
     }
 }
 
 /// Read contribute-half: fetch each scheduled window with one priced
-/// storage access and append the per-rank scatter sections to
-/// exact-size payloads. A hole-free window inside EOF scatters the
-/// pieces straight out of a zero-copy file view; otherwise the union is
-/// sieved into a pooled buffer first (which also supplies the zero
-/// bytes of any beyond-EOF tail).
+/// storage access and copy the pieces straight into the requesting
+/// ranks' exposed outputs, then address one message to each. A
+/// hole-free window inside EOF copies out of a zero-copy file view;
+/// otherwise the union is sieved into a pooled buffer first (which also
+/// supplies the zero bytes of any beyond-EOF tail).
 #[allow(clippy::too_many_arguments)]
-fn fetch_and_scatter_sends(
+fn fetch_and_scatter(
+    table: &ExposureTable,
     handle: &FileHandle,
     rs: &RoundSchedule,
     faults: &mut IoFaults,
@@ -431,16 +470,8 @@ fn fetch_and_scatter_sends(
     facts: &mut RoundFacts,
     pool: &BufferPool,
     integrity: bool,
-) -> Vec<(usize, Vec<u8>)> {
-    let mut per_dst: Vec<(usize, Vec<u8>)> = rs
-        .agg_dsts
-        .iter()
-        .map(|d| {
-            let mut buf = pool.take(d.payload_bytes);
-            put_u64(&mut buf, d.sections);
-            (d.rank, buf)
-        })
-        .collect();
+) -> Vec<(usize, u64, Vec<u8>)> {
+    let mut hashes = hash_slots(integrity, rs.agg_dsts.len());
     for ws in &rs.agg_windows {
         facts.assembled += ws.assembly_bytes;
         for rp in &ws.per_rank {
@@ -450,17 +481,10 @@ fn fetch_and_scatter_sends(
             if span.end() <= handle.len() {
                 let ((), r) = drive_storage(faults, |f| {
                     handle.try_read_at_with(span.offset, span.len, f, |view| {
-                        for rp in &ws.per_rank {
-                            append_section(
-                                &mut per_dst[rp.dst].1,
-                                ws.domain as u64,
-                                &rp.pieces,
-                                |e| {
-                                    let pos = (e.offset - span.offset) as usize;
-                                    &view[pos..pos + e.len as usize]
-                                },
-                            );
-                        }
+                        scatter_window(table, ws, &mut hashes, |e| {
+                            let pos = (e.offset - span.offset) as usize;
+                            &view[pos..pos + e.len as usize]
+                        });
                     })
                 });
                 report.merge(&r);
@@ -472,51 +496,49 @@ fn fetch_and_scatter_sends(
             sieved_read_into(handle, &ws.union, ws.sieve(), f, &mut packed)
         });
         report.merge(&sv.report);
-        for rp in &ws.per_rank {
-            append_section(&mut per_dst[rp.dst].1, ws.domain as u64, &rp.pieces, |e| {
-                let pos = ws.position(e.offset);
-                &packed[pos..pos + e.len as usize]
-            });
-        }
+        scatter_window(table, ws, &mut hashes, |e| {
+            let pos = ws.position(e.offset);
+            &packed[pos..pos + e.len as usize]
+        });
     }
-    if integrity {
-        for (_, buf) in &mut per_dst {
-            seal_payload(buf);
-        }
-    }
-    per_dst
+    messages(&rs.agg_dsts, &hashes)
 }
 
-/// Read absorb-half: scatter received pieces into this rank's packed
-/// output buffer via the shared cumulative-offset layout, retiring the
-/// payloads into the pool.
-fn scatter_into(
-    my_extents: &ExtentList,
-    my_cum: &[u64],
-    received: Vec<(usize, Vec<u8>)>,
-    out: &mut [u8],
+/// Read absorb-half under a crash plan: the aggregators already copied
+/// this rank's pieces into its exposed output; check each arrived
+/// message against the pieces it stands for.
+fn verify_scatter(
+    table: &ExposureTable,
+    me: usize,
+    rs: &RoundSchedule,
+    received: &[(usize, Vec<u8>)],
     facts: &mut RoundFacts,
-    pool: &BufferPool,
-    integrity: bool,
 ) {
-    for (_, payload) in received {
-        let sections = if integrity {
-            facts.integrity += 1;
-            decode_sections(verify_payload(&payload))
-        } else {
-            decode_sections(&payload)
-        };
-        for (_, pieces) in sections {
-            for (e, range) in pieces {
-                // Each piece lies within exactly one of my extents.
-                let slice = my_extents.as_slice();
-                let idx = slice.partition_point(|x| x.end() <= e.offset);
-                let target = slice[idx];
-                debug_assert!(target.contains(e.offset) && e.end() <= target.end());
-                let pos = (my_cum[idx] + (e.offset - target.offset)) as usize;
-                out[pos..pos + e.len as usize].copy_from_slice(&payload[range]);
-            }
-        }
-        pool.put(payload);
+    for (src, body) in received {
+        let pieces = rs
+            .client_windows
+            .iter()
+            .filter(|cw| rs.client_dsts[cw.dst].rank == *src)
+            .flat_map(|cw| &cw.pieces);
+        verify_message(table, me, pieces, *src, body, facts);
     }
+}
+
+/// Re-hashes `pieces` (with their starts in `owner`'s exposed buffer),
+/// in schedule order, and checks the hash the message from `src`
+/// carries in `body`.
+fn verify_message<'s>(
+    table: &ExposureTable,
+    owner: usize,
+    pieces: impl Iterator<Item = &'s (Extent, u64)>,
+    src: usize,
+    body: &[u8],
+    facts: &mut RoundFacts,
+) {
+    let mut h = FNV_BASIS;
+    for &(e, start) in pieces {
+        h = table.read(owner, start as usize, e.len as usize, |b| fnv1a(h, b));
+    }
+    check_hash(body, h, src);
+    facts.integrity += 1;
 }

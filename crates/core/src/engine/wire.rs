@@ -1,45 +1,23 @@
-//! Message codecs for the round engine: shuffle-section payloads and
-//! the per-round fact records the root prices.
-//!
-//! Message layout: `[n_sections]{domain, n_pieces, {off,len}*, bytes}`.
-//! Senders know their section counts from the communication schedule
-//! (`crate::schedule`), so payloads are written straight through into
-//! exact-size buffers — the count goes first, sections append behind
-//! it.
+//! The round engine's message contents: the crash-gated integrity hash
+//! shuffle messages carry, and the per-round fact records the root
+//! prices.
 
-use mccio_mpiio::{Extent, ExtentList};
 use mccio_net::wire::{put_u64, Reader};
 use mccio_pfs::{RetryLog, ServiceReport};
 use mccio_sim::time::VDuration;
 
-/// Appends one section (`domain`, the clipped extents, their bytes
-/// produced by `bytes_of`) to an in-progress payload carrying its
-/// scheduled section count up front.
-pub(super) fn append_section<'p>(
-    buf: &mut Vec<u8>,
-    domain: u64,
-    pieces: &ExtentList,
-    bytes_of: impl Fn(Extent) -> &'p [u8],
-) {
-    put_u64(buf, domain);
-    put_u64(buf, pieces.len() as u64);
-    for e in pieces.as_slice() {
-        put_u64(buf, e.offset);
-        put_u64(buf, e.len);
-    }
-    for &e in pieces.as_slice() {
-        buf.extend_from_slice(bytes_of(e));
-    }
-}
-
-/// Bytes the end-to-end checksum trailer adds to a sealed payload.
+/// Bytes the end-to-end integrity hash adds to a shuffle message's
+/// wire size (its whole body under a crash plan).
 pub(crate) const CHECKSUM_TRAILER: usize = 8;
 
-/// FNV-1a over `bytes` — the end-to-end integrity hash. Kept in-tree
-/// (like the test suites' copies) so the wire format never depends on
-/// an external hasher's stability.
-pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+/// FNV-1a of no bytes: the start of every integrity hash.
+pub(super) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// Folds `bytes` into the running FNV-1a hash `h` — the end-to-end
+/// integrity hash, streamed over a message's source ranges in schedule
+/// order. Kept in-tree (like the test suites' copies) so the check
+/// never depends on an external hasher's stability.
+pub(super) fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
@@ -47,72 +25,33 @@ pub(super) fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Seals a fully-encoded shuffle payload with its FNV-1a trailer. Only
-/// called when the fault plan schedules crashes (the schedule sized the
-/// payload for the extra [`CHECKSUM_TRAILER`] bytes).
-pub(super) fn seal_payload(buf: &mut Vec<u8>) {
-    let h = fnv1a(buf);
-    put_u64(buf, h);
+/// The body of an integrity-carrying shuffle message: its hash.
+pub(super) fn hash_body(h: u64) -> Vec<u8> {
+    h.to_le_bytes().to_vec()
 }
 
-/// Verifies and strips a sealed payload's trailer, returning the body.
+/// Checks the hash `got` the receiver computed over the bytes a message
+/// from `src` stands for against the hash its `body` carries.
 ///
 /// # Panics
-/// Panics on checksum mismatch: inside the simulator a corrupt payload
-/// can only mean an engine bug (a replayed round delivering stale
-/// bytes), and that must never be silently priced as success.
-pub(super) fn verify_payload(payload: &[u8]) -> &[u8] {
-    assert!(
-        payload.len() >= CHECKSUM_TRAILER,
-        "sealed payload shorter than its trailer"
+/// Panics on mismatch: inside the simulator a mismatch can only mean an
+/// engine bug (the two sides of a replayed round routing different
+/// pieces), and that must never be silently priced as success.
+pub(super) fn check_hash(body: &[u8], got: u64, src: usize) {
+    let want = u64::from_le_bytes(
+        body.try_into()
+            .expect("integrity message body is one 8-byte hash"),
     );
-    let (body, trailer) = payload.split_at(payload.len() - CHECKSUM_TRAILER);
-    let want = u64::from_le_bytes(trailer.try_into().expect("8-byte trailer"));
-    let got = fnv1a(body);
     assert_eq!(
         got, want,
-        "end-to-end checksum mismatch: payload corrupted in flight"
+        "end-to-end checksum mismatch on the shuffle message from rank {src}"
     );
-    body
-}
-
-/// A decoded section referencing payload bytes by range — no copies
-/// until the bytes land in their final buffer. Round volumes reach
-/// gigabytes; every avoided copy is real memory.
-pub(super) type SectionRef = (u64, Vec<(Extent, std::ops::Range<usize>)>);
-
-pub(super) fn decode_sections(buf: &[u8]) -> Vec<SectionRef> {
-    let mut r = Reader::new(buf);
-    let n_sections = r.u64() as usize;
-    let mut out = Vec::with_capacity(n_sections);
-    for _ in 0..n_sections {
-        let domain = r.u64();
-        let n_pieces = r.u64() as usize;
-        let shapes: Vec<Extent> = (0..n_pieces)
-            .map(|_| {
-                let off = r.u64();
-                let len = r.u64();
-                Extent::new(off, len)
-            })
-            .collect();
-        let pieces = shapes
-            .into_iter()
-            .map(|e| {
-                let start = buf.len() - r.remaining();
-                let _ = r.bytes(e.len as usize);
-                (e, start..start + e.len as usize)
-            })
-            .collect();
-        out.push((domain, pieces));
-    }
-    r.finish();
-    out
 }
 
 /// Round facts each rank contributes to the root's pricing:
 /// `[n_flows]{dst, bytes}` (flows this rank *sends*), the rank's storage
 /// report pairs, the bytes it assembled in aggregation buffers, the
-/// retry activity it endured this round, and the payload checksums it
+/// retry activity it endured this round, and the message hashes it
 /// verified (crash-gated, zero otherwise). The record rides `send_ctl`,
 /// whose traffic accounting counts messages rather than bytes, so
 /// growing it never disturbs crash-free goldens.
@@ -190,20 +129,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sealed_payload_roundtrips() {
-        let mut buf = vec![1u8, 2, 3, 4, 5];
-        seal_payload(&mut buf);
-        assert_eq!(buf.len(), 5 + CHECKSUM_TRAILER);
-        assert_eq!(verify_payload(&buf), &[1, 2, 3, 4, 5]);
+    fn streamed_hash_matches_the_whole_hash() {
+        let whole = fnv1a(FNV_BASIS, &[1, 2, 3, 4, 5]);
+        let streamed = fnv1a(fnv1a(FNV_BASIS, &[1, 2]), &[3, 4, 5]);
+        assert_eq!(streamed, whole);
+        check_hash(&hash_body(whole), streamed, 0);
     }
 
     #[test]
-    #[should_panic(expected = "checksum mismatch")]
-    fn corrupted_payload_is_caught() {
-        let mut buf = vec![9u8; 32];
-        seal_payload(&mut buf);
-        buf[4] ^= 0xFF;
-        let _ = verify_payload(&buf);
+    #[should_panic(expected = "checksum mismatch on the shuffle message from rank 4")]
+    fn corrupted_bytes_are_caught() {
+        let sent = fnv1a(FNV_BASIS, &[9u8; 32]);
+        let mut got = [9u8; 32];
+        got[4] ^= 0xFF;
+        check_hash(&hash_body(sent), fnv1a(FNV_BASIS, &got), 4);
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //! [`CommSchedule`] front-loads all of it:
 //!
 //! * per round, this rank's **client sends** — destination aggregators
-//!   in first-touch order with exact encoded payload sizes, and the
-//!   pieces of this rank's request routed to each ([`ClientWindow`]);
+//!   in first-touch order with exact wire sizes, and the pieces of this
+//!   rank's request routed to each ([`ClientWindow`]);
 //! * per round, the windows this rank **aggregates** — contributing
-//!   ranks with their clipped extents, the precomputed union
+//!   ranks with their clipped extents and where each piece sits in the
+//!   contributor's packed buffer, the precomputed union
 //!   [`ExtentList`], its packed-buffer layout, and the assembly-buffer
 //!   size ([`WindowSchedule`]);
 //! * both **receive lists**: who sends to this aggregator (write) and
@@ -32,7 +33,7 @@
 //! is `O(rounds × (my windows + my domains' candidates))`, not
 //! `O(rounds × members × windows)`.
 
-use mccio_mpiio::{Extent, ExtentList, GroupPattern, SieveConfig};
+use mccio_mpiio::{Extent, ExtentList, ExtentsView, GroupPattern, SieveConfig};
 
 use crate::plan::CollectivePlan;
 
@@ -43,37 +44,33 @@ const PIECE_HEADER: usize = 16;
 /// Wire cost of the leading section-count word.
 const COUNT_WORD: usize = 8;
 
-/// One send destination of a round: the peer rank, how many sections
-/// the payload will carry, and its exact encoded byte length — so the
-/// payload buffer can be allocated once at final size and the section
-/// count written up front instead of patched afterwards.
+/// One send destination of a round: the peer rank and the message's
+/// wire size. The bytes themselves move through the exposure table
+/// (`mccio_net::expose`); the message carries the size the traffic
+/// counters record — a count word, then per window section a header,
+/// a header per piece and the piece bytes, plus the integrity trailer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendDst {
     /// Destination rank.
     pub rank: usize,
-    /// Number of sections the payload carries.
-    pub sections: u64,
-    /// Exact encoded payload length in bytes.
+    /// The message's wire size in bytes.
     pub payload_bytes: usize,
 }
 
 impl SendDst {
-    /// `trailer` is the per-payload overhead of the end-to-end checksum
+    /// `trailer` is the per-message overhead of the end-to-end checksum
     /// (0 when integrity is off, [`crate::engine::CHECKSUM_TRAILER`]
-    /// under a crash plan) — baked into the size at creation so encoded
-    /// payloads still land exactly on `payload_bytes`.
+    /// under a crash plan).
     fn new(rank: usize, trailer: usize) -> Self {
         SendDst {
             rank,
-            sections: 0,
             payload_bytes: COUNT_WORD + trailer,
         }
     }
 
-    fn add_section(&mut self, pieces: &ExtentList) {
-        self.sections += 1;
-        self.payload_bytes +=
-            SECTION_HEADER + PIECE_HEADER * pieces.len() + pieces.total_bytes() as usize;
+    /// Adds one window's section of `n_pieces` pieces totalling `bytes`.
+    fn add_section(&mut self, n_pieces: usize, bytes: u64) {
+        self.payload_bytes += SECTION_HEADER + PIECE_HEADER * n_pieces + bytes as usize;
     }
 }
 
@@ -93,8 +90,8 @@ pub struct ClientWindow {
 }
 
 /// One contributing rank within an aggregated window: its clipped
-/// extents and (for the read direction) which scatter payload they
-/// feed.
+/// extents, where they sit in its packed buffer, and (for the read
+/// direction) which message they ride.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankPieces {
     /// The contributing (write) / requesting (read) rank.
@@ -103,8 +100,10 @@ pub struct RankPieces {
     pub dst: usize,
     /// Bytes of this rank inside the window (the priced read flow).
     pub bytes: u64,
-    /// The rank's extents clipped to the window.
-    pub pieces: ExtentList,
+    /// The rank's extents clipped to the window, each paired with its
+    /// start offset in that rank's packed buffer — the same pairs the
+    /// rank's own [`ClientWindow`] for this window holds.
+    pub pieces: Vec<(Extent, u64)>,
 }
 
 /// One window this rank aggregates in a round, with its precomputed
@@ -148,6 +147,22 @@ impl WindowSchedule {
             buffer_size: self.window.len.max(1),
         }
     }
+}
+
+/// `extents` clipped to window `w`, each piece paired with its start in
+/// the owner's packed buffer (`starts` is parallel to `extents`), and
+/// the pieces' total bytes.
+fn clip_packed(extents: ExtentsView<'_>, starts: &[u64], w: Extent) -> (Vec<(Extent, u64)>, u64) {
+    let mut bytes = 0u64;
+    let pieces = extents
+        .clip_indexed(w)
+        .map(|(idx, piece)| {
+            bytes += piece.len;
+            let base = extents.as_slice()[idx];
+            (piece, starts[idx] + (piece.offset - base.offset))
+        })
+        .collect();
+    (pieces, bytes)
 }
 
 /// Everything one rank does in one round, precomputed.
@@ -195,10 +210,9 @@ impl CommSchedule {
         Self::build_with_integrity(plan, pattern, me, my_extents, false)
     }
 
-    /// Like [`CommSchedule::build`], with optional end-to-end payload
-    /// integrity: when `integrity` is set every scheduled payload is
-    /// sized for a trailing checksum word, matching what the engine's
-    /// crash-gated sealing appends at encode time.
+    /// Like [`CommSchedule::build`], with optional end-to-end
+    /// integrity: when `integrity` is set every scheduled message is
+    /// sized for the checksum the engine's crash-gated path sends.
     #[must_use]
     pub fn build_with_integrity(
         plan: &CollectivePlan,
@@ -241,15 +255,7 @@ impl CommSchedule {
                 .iter()
                 .filter_map(|&di| plan.domains[di].window(round).map(|w| (di, w)))
             {
-                let mut bytes = 0u64;
-                let pieces: Vec<(Extent, u64)> = my_extents
-                    .clip_indexed(w)
-                    .map(|(idx, piece)| {
-                        bytes += piece.len;
-                        let base = my_extents.as_slice()[idx];
-                        (piece, my_cum[idx] + (piece.offset - base.offset))
-                    })
-                    .collect();
+                let (pieces, bytes) = clip_packed(my_extents.view(), &my_cum, w);
                 if pieces.is_empty() {
                     continue;
                 }
@@ -262,9 +268,7 @@ impl CommSchedule {
                         rs.client_dsts.push(SendDst::new(agg, trailer));
                         rs.client_dsts.len() - 1
                     });
-                rs.client_dsts[dst].sections += 1;
-                rs.client_dsts[dst].payload_bytes +=
-                    SECTION_HEADER + PIECE_HEADER * pieces.len() + bytes as usize;
+                rs.client_dsts[dst].add_section(pieces.len(), bytes);
                 rs.client_windows.push(ClientWindow {
                     domain: di,
                     dst,
@@ -289,11 +293,15 @@ impl CommSchedule {
                 let mut shapes: Vec<Extent> = Vec::new();
                 let mut per_rank: Vec<RankPieces> = Vec::new();
                 for &rank in candidates {
-                    let clipped = pattern.extents_of_rank(rank).clip(w);
-                    if clipped.is_empty() {
+                    let (pieces, bytes) = clip_packed(
+                        pattern.extents_of_rank(rank),
+                        pattern.packed_starts(rank),
+                        w,
+                    );
+                    if pieces.is_empty() {
                         continue;
                     }
-                    shapes.extend_from_slice(clipped.as_slice());
+                    shapes.extend(pieces.iter().map(|&(e, _)| e));
                     let dst = rs
                         .agg_dsts
                         .iter()
@@ -302,12 +310,12 @@ impl CommSchedule {
                             rs.agg_dsts.push(SendDst::new(rank, trailer));
                             rs.agg_dsts.len() - 1
                         });
-                    rs.agg_dsts[dst].add_section(&clipped);
+                    rs.agg_dsts[dst].add_section(pieces.len(), bytes);
                     per_rank.push(RankPieces {
                         rank,
                         dst,
-                        bytes: clipped.total_bytes(),
-                        pieces: clipped,
+                        bytes,
+                        pieces,
                     });
                 }
                 if per_rank.is_empty() {
@@ -431,18 +439,22 @@ mod tests {
         let dst = &s.rounds[0].client_dsts[0];
         // count + (domain + n_pieces) + 2 piece headers + 9 data bytes.
         assert_eq!(dst.payload_bytes, 8 + 16 + 2 * 16 + 9);
-        assert_eq!(dst.sections, 1);
         // The aggregator's view prices the same volume.
         let s1 = CommSchedule::build(&plan, &pattern, 1, &pattern.extents_of_rank(1).to_list());
         let ws = &s1.rounds[0].agg_windows[0];
         assert_eq!(ws.assembly_bytes, 9);
         assert_eq!(ws.per_rank[0].bytes, 9);
+        // Each piece keeps its start in rank 0's packed buffer.
+        assert_eq!(
+            ws.per_rank[0].pieces,
+            [(Extent::new(0, 5), 0), (Extent::new(8, 4), 5)]
+        );
         assert_eq!(ws.position(8), 5);
         assert_eq!(ws.sieve().buffer_size, 12);
     }
 
     #[test]
-    fn integrity_sizing_adds_one_trailer_per_payload() {
+    fn integrity_sizing_adds_one_trailer_per_message() {
         let pattern = pattern_of(vec![vec![(0, 5), (8, 4)], vec![]]);
         let plan = plan_of(vec![(0, 12, 1, 12)]);
         let plain = CommSchedule::build(&plan, &pattern, 0, &pattern.extents_of_rank(0).to_list());
@@ -456,8 +468,7 @@ mod tests {
         let p = &plain.rounds[0].client_dsts[0];
         let s = &sealed.rounds[0].client_dsts[0];
         assert_eq!(s.payload_bytes, p.payload_bytes + 8);
-        assert_eq!(s.sections, p.sections);
-        // Everything but payload sizing is identical.
+        // Everything but message sizing is identical.
         assert_eq!(
             plain.rounds[0].client_windows,
             sealed.rounds[0].client_windows

@@ -25,6 +25,10 @@ pub struct GroupPattern {
     /// [`GroupPattern::ranks_touching`] call — the gathered pattern is
     /// shared by every member, so one build serves the whole world.
     index: OnceLock<TouchIndex>,
+    /// Packed-buffer starts of `table`'s extents, built lazily on the
+    /// first [`GroupPattern::packed_starts`] call and shared the same
+    /// way as `index`.
+    packed: OnceLock<Vec<u64>>,
 }
 
 impl Clone for GroupPattern {
@@ -33,6 +37,7 @@ impl Clone for GroupPattern {
             group: self.group.clone(),
             table: self.table.clone(),
             index: OnceLock::new(),
+            packed: OnceLock::new(),
         }
     }
 }
@@ -77,6 +82,7 @@ impl GroupPattern {
                 group: group.clone(),
                 table,
                 index: OnceLock::new(),
+                packed: OnceLock::new(),
             }
         })
     }
@@ -93,6 +99,7 @@ impl GroupPattern {
             group,
             table: ExtentTable::from_lists(per_rank),
             index: OnceLock::new(),
+            packed: OnceLock::new(),
         }
     }
 
@@ -113,6 +120,22 @@ impl GroupPattern {
             .index_of(rank)
             .unwrap_or_else(|| panic!("rank {rank} not in group"));
         self.table.view(idx)
+    }
+
+    /// Where each of `rank`'s extents starts in that rank's packed
+    /// buffer, parallel to [`GroupPattern::extents_of_rank`] — so an
+    /// aggregator can address a client's bytes without the client.
+    ///
+    /// # Panics
+    /// Panics if `rank` is not in the group.
+    #[must_use]
+    pub fn packed_starts(&self, rank: usize) -> &[u64] {
+        let idx = self
+            .group
+            .index_of(rank)
+            .unwrap_or_else(|| panic!("rank {rank} not in group"));
+        let all = self.packed.get_or_init(|| self.table.packed_starts());
+        &all[self.table.range(idx)]
     }
 
     /// The smallest extent covering every member's accesses, or `None`

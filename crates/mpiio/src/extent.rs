@@ -479,11 +479,30 @@ impl ExtentTable {
     /// Member `i`'s extents.
     #[must_use]
     pub fn view(&self, i: usize) -> ExtentsView<'_> {
-        let lo = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        let hi = self.ends[i] as usize;
         ExtentsView {
-            extents: &self.extents[lo..hi],
+            extents: &self.extents[self.range(i)],
         }
+    }
+
+    /// Member `i`'s positions in the flattened extents.
+    pub(crate) fn range(&self, i: usize) -> std::ops::Range<usize> {
+        let lo = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        lo..self.ends[i] as usize
+    }
+
+    /// Where each extent starts in its member's packed buffer (the
+    /// member's extents back to back, in offset order), parallel to the
+    /// flattened extents.
+    pub(crate) fn packed_starts(&self) -> Vec<u64> {
+        let mut out = Vec::with_capacity(self.extents.len());
+        for i in 0..self.len() {
+            let mut at = 0u64;
+            for e in &self.extents[self.range(i)] {
+                out.push(at);
+                at += e.len;
+            }
+        }
+        out
     }
 
     /// Every member's extents back to back (grouped by member).

@@ -75,9 +75,9 @@ pub struct OpMetrics {
     pub storage_requests: u64,
     /// Bytes this rank moved through storage.
     pub storage_bytes: u64,
-    /// Buffer-pool takes served from a retired buffer.
+    /// Assembly-pool takes served from a retired buffer.
     pub pool_hits: u64,
-    /// Buffer-pool takes that had to allocate.
+    /// Assembly-pool takes that had to allocate.
     pub pool_misses: u64,
     /// Buffer requests this rank forwarded to the world-level recycler
     /// (its own free list was empty). A deterministic per-rank fact:
@@ -87,8 +87,9 @@ pub struct OpMetrics {
     /// Buffers this rank retired into the world-level recycler (free-
     /// list overflow plus the end-of-operation drain).
     pub recycle_returns: u64,
-    /// High-water mark of pooled payload/assembly buffer bytes this
-    /// rank held out of its pool at once.
+    /// High-water mark of pooled assembly buffer bytes this rank held
+    /// out of its pool at once (the name predates the single-copy
+    /// shuffle, when shuffle payloads were pooled too).
     pub payload_peak_bytes: u64,
     /// Mean per-node aggregation-buffer high-water mark, bytes.
     pub mem_peak_mean: f64,

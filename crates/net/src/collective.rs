@@ -4,11 +4,12 @@
 //! (offset lists, clocks, exchange matrices) and enforce causality, but
 //! charge no transfer time — the bulk-data phases they coordinate are
 //! priced analytically through [`mccio_sim::CostModel::shuffle_phase`].
-//! The one data-plane collective, [`Ctx::exchange`], moves real payload
-//! bytes but likewise charges no transfer time, because every caller
-//! immediately follows it with an analytic phase charge; it still
-//! updates the data-traffic counters so experiments can report shuffle
-//! volumes.
+//! The one data-plane collective, [`Ctx::exchange`], stands for the
+//! shuffle's bytes (which move through the exposure table,
+//! [`crate::expose`]) and likewise charges no transfer time, because
+//! every caller immediately follows it with an analytic phase charge; it
+//! updates the data-traffic counters at each message's declared wire
+//! size so experiments can report shuffle volumes.
 //!
 //! Every operation is defined over a [`RankSet`] and must be called by
 //! *all* members of the set, SPMD-style, in the same order — exactly
@@ -197,58 +198,59 @@ impl Ctx {
         self.clock()
     }
 
-    /// Personalized all-to-all within a group (data plane): `sends` maps
-    /// each destination to a payload; `recv_from` lists the sources this
+    /// Personalized all-to-all within a group (data plane): each send
+    /// is `(dst, wire_bytes, body)`; `recv_from` lists the sources this
     /// rank expects a message from. Both sides of the exchange must be
     /// derivable from shared metadata — in collective I/O they always
-    /// are. Self-sends short-circuit locally. Returns `(src, payload)`
+    /// are. Self-sends short-circuit locally. Returns `(src, body)`
     /// pairs in `recv_from` order.
     ///
-    /// The exchange charges no transfer time (callers price the whole
-    /// phase analytically) but is counted in the traffic statistics.
+    /// The data a message stands for moves through the world's
+    /// exposure table ([`crate::expose`]), so the message is counted in
+    /// the traffic statistics, and reported to the causal observer, at
+    /// its declared `wire_bytes`; `body` carries only what the caller
+    /// adds on top (an integrity hash, or nothing). The exchange charges
+    /// no transfer time: callers price the whole phase analytically.
     ///
     /// # Panics
     /// Panics if a destination or source is outside the group.
     pub fn exchange(
         &mut self,
         group: &RankSet,
-        sends: Vec<(usize, Vec<u8>)>,
+        sends: Vec<(usize, u64, Vec<u8>)>,
         recv_from: &[usize],
     ) -> Vec<(usize, Vec<u8>)> {
         self.assert_member(group, "exchange");
         let me = self.rank();
-        let mut self_payload = None;
-        for (dst, payload) in sends {
+        let mut self_body = None;
+        for (dst, wire_bytes, body) in sends {
             assert!(
                 group.contains(dst),
                 "exchange destination {dst} outside group"
             );
             if dst == me {
-                assert!(
-                    self_payload.is_none(),
-                    "multiple self-sends in one exchange"
-                );
-                self_payload = Some(payload);
+                assert!(self_body.is_none(), "multiple self-sends in one exchange");
+                self_body = Some(body);
             } else {
-                self.account_exchange(dst, payload.len() as u64);
-                self.send_ctl(dst, TAG_EXCHANGE, payload);
+                self.account_exchange(dst, wire_bytes);
+                self.send_sized(dst, TAG_EXCHANGE, body.into(), wire_bytes);
             }
         }
         let mut received = Vec::with_capacity(recv_from.len());
         for &src in recv_from {
             assert!(group.contains(src), "exchange source {src} outside group");
             if src == me {
-                let payload = self_payload
+                let body = self_body
                     .take()
-                    .expect("recv_from lists self but sends has no self-payload");
-                received.push((me, payload));
+                    .expect("recv_from lists self but sends has no self-send");
+                received.push((me, body));
             } else {
                 received.push((src, self.recv(src, TAG_EXCHANGE)));
             }
         }
         assert!(
-            self_payload.is_none(),
-            "self-send payload was never received (missing self in recv_from)"
+            self_body.is_none(),
+            "self-send was never received (missing self in recv_from)"
         );
         received
     }
@@ -397,8 +399,8 @@ mod tests {
             let group = RankSet::world(ctx.size());
             let me = ctx.rank();
             // Everyone sends one byte [me*10+dst] to every rank (self included).
-            let sends: Vec<(usize, Vec<u8>)> = (0..4)
-                .map(|dst| (dst, vec![(me * 10 + dst) as u8]))
+            let sends: Vec<(usize, u64, Vec<u8>)> = (0..4)
+                .map(|dst| (dst, 1, vec![(me * 10 + dst) as u8]))
                 .collect();
             let recv_from: Vec<usize> = (0..4).collect();
             let got = ctx.exchange(&group, sends, &recv_from);
@@ -420,17 +422,23 @@ mod tests {
             let w = world_with(2, 2, 4, kind);
             // Node 0 holds ranks 0-1, node 1 holds ranks 2-3: one
             // message each way between the nodes plus one within node 0.
-            let _ = w.run(|ctx| {
+            // Traffic counts the declared wire sizes; bodies arrive as
+            // sent.
+            let got = w.run(|ctx| {
                 let group = RankSet::world(ctx.size());
-                let (sends, recv_from): (Vec<(usize, Vec<u8>)>, &[usize]) = match ctx.rank() {
-                    0 => (vec![(2, vec![0u8; 100])], &[1]),
-                    1 => (vec![(0, vec![1u8; 7])], &[3]),
-                    2 => (vec![], &[0]),
-                    _ => (vec![(1, vec![3u8; 40])], &[]),
+                let (dst, wire, body, recv_from): (_, _, _, &[usize]) = match ctx.rank() {
+                    0 => (Some(2), 100, Vec::new(), &[1]),
+                    1 => (Some(0), 7, vec![1u8; 7], &[3]),
+                    2 => (None, 0, Vec::new(), &[0]),
+                    _ => (Some(1), 40, vec![3u8; 8], &[]),
                 };
-                let got = ctx.exchange(&group, sends, recv_from);
-                assert_eq!(got.len(), recv_from.len());
+                let sends = dst.map(|d| (d, wire, body)).into_iter().collect();
+                ctx.exchange(&group, sends, recv_from)
             });
+            assert_eq!(got[0], [(1, vec![1u8; 7])]);
+            assert_eq!(got[1], [(3, vec![3u8; 8])]);
+            assert_eq!(got[2], [(0, Vec::new())]);
+            assert!(got[3].is_empty());
             let t = w.traffic().snapshot();
             assert_eq!(t.data_msgs, 3);
             assert_eq!(t.inter_bytes, 140);

@@ -202,10 +202,13 @@ pub struct World {
     traffic: Traffic,
     executor: ExecutorKind,
     decode_cache: DecodeCache,
-    /// World-level byte-buffer recycler: payload and assembly buffers
-    /// retired by one operation serve the next, so the steady-state hot
-    /// path allocates nothing (see [`crate::recycle`]).
+    /// World-level byte-buffer recycler: assembly buffers retired by
+    /// one operation serve the next, so the steady-state hot path
+    /// allocates nothing (see [`crate::recycle`]).
     recycle: Arc<crate::recycle::BytePool>,
+    /// One exposure slot per rank: the data plane's path into peers'
+    /// buffers (see [`crate::expose`]).
+    exposure: crate::expose::ExposureTable,
     /// The full-world rank set, built once and shared: per-op
     /// `RankSet::world(n)` calls are an O(ranks) allocation per rank
     /// that dominated collective prologues at 10k+ ranks.
@@ -248,6 +251,7 @@ impl World {
             executor,
             decode_cache: DecodeCache::default(),
             recycle: Arc::new(crate::recycle::BytePool::for_ranks(n_ranks)),
+            exposure: crate::expose::ExposureTable::new(n_ranks),
             world_set: std::sync::OnceLock::new(),
             ctl_delay_bits: AtomicU64::new(0.0_f64.to_bits()),
             causal: std::sync::OnceLock::new(),
@@ -349,6 +353,12 @@ impl World {
     #[must_use]
     pub fn recycler(&self) -> &Arc<crate::recycle::BytePool> {
         &self.recycle
+    }
+
+    /// The per-rank exposure table (see [`crate::expose`]).
+    #[must_use]
+    pub fn exposure(&self) -> &crate::expose::ExposureTable {
+        &self.exposure
     }
 
     /// The rank set containing every rank, built once per world and
@@ -550,6 +560,14 @@ impl Ctx {
     /// use the shared form so a broadcast queues one buffer, not one
     /// clone per destination.
     pub(crate) fn send_ctl_payload(&mut self, dst: usize, tag: u32, payload: Payload) {
+        let bytes = payload.len() as u64;
+        self.send_sized(dst, tag, payload, bytes);
+    }
+
+    /// [`Ctx::send_ctl_payload`] reporting `wire_bytes` rather than the
+    /// payload's own length to the causal observer: a data-plane
+    /// message stands for bytes that move through the exposure table.
+    pub(crate) fn send_sized(&mut self, dst: usize, tag: u32, payload: Payload, wire_bytes: u64) {
         assert!(dst < self.size(), "send to rank {dst} of {}", self.size());
         self.world.traffic.ctl_msgs.fetch_add(1, Ordering::Relaxed);
         // An injected control-network delay shifts the departure stamp:
@@ -557,7 +575,7 @@ impl Ctx {
         // in virtual time without any wall-clock sleeping.
         let depart = self.clock + self.world.ctl_delay();
         let causal = match self.world.causal.get() {
-            Some(sink) => sink.on_send(self.rank, dst, self.clock, payload.len() as u64),
+            Some(sink) => sink.on_send(self.rank, dst, self.clock, wire_bytes),
             None => 0,
         };
         self.world.mailboxes[dst].deliver(Envelope {

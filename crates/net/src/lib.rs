@@ -18,8 +18,11 @@
 //!   [`mccio_sim::CostModel::shuffle_phase`] — that keeps virtual time
 //!   deterministic regardless of thread scheduling;
 //! * the [`engine::Traffic`] counters record every message, and the
-//!   payload bytes of the data-plane exchange ([`Ctx::exchange`]), so
-//!   experiments can report shuffle volumes and per-node NIC pressure.
+//!   declared wire bytes of the data-plane exchange ([`Ctx::exchange`]),
+//!   so experiments can report shuffle volumes and per-node NIC
+//!   pressure. The data itself moves through the per-rank exposure
+//!   table ([`expose`]): aggregators copy straight out of clients'
+//!   requests and into readers' outputs, once per byte.
 //!
 //! Message matching follows MPI semantics for named sources: receives
 //! match on `(source, tag)` with non-overtaking order per pair. Nothing
@@ -31,6 +34,7 @@
 pub mod collective;
 pub mod engine;
 mod executor;
+pub mod expose;
 pub mod group;
 pub mod mailbox;
 pub mod recycle;
@@ -39,5 +43,6 @@ pub mod wire;
 pub use collective::INTERNAL_TAG_BASE;
 pub use engine::{Ctx, ExecutorKind, Traffic, TrafficSnapshot, World};
 pub use executor::{slab_stats, SlabStats};
+pub use expose::{Exposed, ExposureTable};
 pub use group::RankSet;
 pub use recycle::{BytePool, RecycleStats};

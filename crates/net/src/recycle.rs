@@ -5,9 +5,10 @@
 //! back to the allocator, and the next operation re-faulted a fresh
 //! generation of pages (at 10k+ ranks that is gigabytes of `mmap` /
 //! `munmap` churn per collective). The recycler lives on the `World`,
-//! so payload and assembly buffers survive operation boundaries: a
-//! steady-state operation allocates nothing on its hot path, it just
-//! circulates committed slabs.
+//! so assembly buffers — the ones windows with holes assemble in and
+//! sieved reads fetch into; shuffle messages carry no bytes — survive
+//! operation boundaries: a steady-state operation allocates nothing on
+//! its hot path, it just circulates committed slabs.
 //!
 //! ## Exact-capacity classes
 //!
@@ -18,11 +19,10 @@
 //! indistinguishable (capacity included) from a fresh allocation,
 //! because the per-rank engine pool makes hit/miss decisions from
 //! buffer capacities and its counters are pinned exactly by
-//! `crates/bench/tests/ci_goldens.rs`. Which buffers sit in this shared pool depends on
-//! how ranks interleave; their *capacities* must not. Collective
-//! schedules repeat the same payload and assembly sizes across rounds
-//! and operations, so exact matching still recycles the bulk of the
-//! data plane.
+//! `crates/bench/tests/ci_goldens.rs`. Which buffers sit in this shared
+//! pool depends on how ranks interleave; their *capacities* must not.
+//! Collective schedules repeat the same assembly sizes across rounds
+//! and operations, so exact matching still recycles the bulk of them.
 //!
 //! The pool is shared by every rank of a world, so its hit/miss and
 //! high-water counters depend on thread scheduling. They are
@@ -43,8 +43,9 @@ use mccio_sim::hostprof::{self, HostPhase};
 const DEFAULT_RETAIN_BYTES: u64 = 1 << 30;
 
 /// Per-rank retirement headroom used by [`BytePool::for_ranks`]: a
-/// collective op's payload + assembly working set lands around tens of
-/// KiB per rank, and a ceiling below the working set makes the *next*
+/// collective op's assembly working set lands at most around tens of
+/// KiB per rank (one window buffer per aggregator, spread over the
+/// world), and a ceiling below the working set makes the *next*
 /// operation re-allocate everything the ceiling refused to park.
 const RETAIN_BYTES_PER_RANK: u64 = 32 * 1024;
 
@@ -72,8 +73,8 @@ pub struct RecycleStats {
     /// Bytes of buffer capacity currently handed out (taken, not yet
     /// returned).
     pub live_bytes: u64,
-    /// High-water mark of `live_bytes` — the peak payload/assembly
-    /// working set the engine ever held at once.
+    /// High-water mark of `live_bytes` — the peak assembly working set
+    /// the engine ever held at once.
     pub peak_live_bytes: u64,
     /// Bytes of retired capacity currently parked in the free lists.
     pub retained_bytes: u64,
@@ -165,7 +166,7 @@ impl BytePool {
         let _t = hostprof::timer(HostPhase::RecycleReturn);
         let cap = buf.capacity();
         // Saturating: callers may retire buffers the pool never handed
-        // out (engine-grown payloads), so live accounting is a floor.
+        // out (or grew while outstanding), so live accounting is a floor.
         let _ = self
             .live_bytes
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {

@@ -29,10 +29,10 @@ pub const ENGINE_TRACK: u32 = 1_000_000;
 ///   and a rank was declared dead.
 /// * [`REELECTION`] — instant + counter: a replacement aggregator was
 ///   elected from the survivor set for one domain.
-/// * [`ROUNDS_REPLAYED`] — counter: a round's shuffle payloads were
-///   re-sent against the re-planned schedule.
-/// * [`INTEGRITY_VERIFIED`] — counter: end-to-end payload checksums
-///   verified at assembly.
+/// * [`ROUNDS_REPLAYED`] — counter: a round's shuffle was re-run
+///   against the re-planned schedule.
+/// * [`INTEGRITY_VERIFIED`] — counter: end-to-end message checksums
+///   verified by their receivers.
 pub const CRASH_DETECTED: &str = "crash.detected";
 /// See [`CRASH_DETECTED`].
 pub const REELECTION: &str = "reelection";

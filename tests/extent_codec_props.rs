@@ -9,9 +9,9 @@
 //! * [`TouchIndex`] window queries agree with a naive every-member scan;
 //! * `CollectivePlan::domains_overlapping` agrees with a naive
 //!   every-domain scan;
-//! * a repeated collective operation takes every payload and assembly
-//!   buffer from the recycler (zero misses) and re-enters the cached
-//!   coroutine stack slab (zero fresh stacks).
+//! * a repeated collective operation takes every assembly buffer from
+//!   the recycler (zero misses) and re-enters the cached coroutine stack
+//!   slab (zero fresh stacks); a hole-free one takes no buffer at all.
 //!
 //! Cases come from the workspace's seeded PRNG; failures reproduce by
 //! case index.
@@ -181,8 +181,10 @@ fn domains_overlapping_agrees_with_naive_domain_scan() {
 
 /// The tentpole invariant: once the recycler has seen one operation's
 /// working set, a repeat of the same operation allocates nothing on the
-/// hot path — every payload/assembly take is a recycler hit and the
-/// event executor re-enters its committed stack slab.
+/// hot path — every assembly take is a recycler hit and the event
+/// executor re-enters its committed stack slab. Hole-free windows need
+/// no buffer at all: their pieces copy straight from the clients'
+/// requests into the file, so such an op never touches the recycler.
 #[test]
 fn steady_state_op_is_allocation_free() {
     const RANKS: usize = 8;
@@ -204,28 +206,40 @@ fn steady_state_op_is_allocation_free() {
         msg_group: 256 * KIB,
     };
     let strategy = MemoryConscious(MccioConfig::new(tuning, 32 * KIB, 8 * KIB));
-    let one_op = |world: &std::sync::Arc<World>| {
+    // Each rank writes the first `len` bytes of its 16 KiB lane: the
+    // whole lane leaves no holes, half a lane leaves one per rank.
+    let one_op = |world: &std::sync::Arc<World>, len: u64| {
         world.run(|ctx| {
             let env = env.clone();
             let handle = env.fs.open_or_create("steady");
             let extents =
-                ExtentList::normalize(vec![Extent::new(ctx.rank() as u64 * 16 * KIB, 16 * KIB)]);
+                ExtentList::normalize(vec![Extent::new(ctx.rank() as u64 * 16 * KIB, len)]);
             let payload = data::fill(&extents);
             let _ = write_all(ctx, &env, &handle, &extents, &payload, &strategy);
         });
     };
 
-    one_op(&world); // first generation: populates the recycler + slab
+    let fresh = world.recycler().stats();
+    one_op(&world, 16 * KIB); // hole-free: commits the slab, takes no buffer
+    one_op(&world, 16 * KIB);
+    let hole_free = world.recycler().stats();
+    assert_eq!(
+        (hole_free.hits, hole_free.misses),
+        (fresh.hits, fresh.misses),
+        "a hole-free op took a buffer"
+    );
+
+    one_op(&world, 8 * KIB); // first generation with holes: populates the recycler
     let warm = world.recycler().stats();
     let slab_warm = mccio_suite::net::slab_stats();
 
-    one_op(&world); // steady state
+    one_op(&world, 8 * KIB); // steady state
     let steady = world.recycler().stats();
     let slab_steady = mccio_suite::net::slab_stats();
 
     assert_eq!(
         steady.misses, warm.misses,
-        "steady-state op allocated fresh payload/assembly buffers"
+        "steady-state op allocated fresh assembly buffers"
     );
     assert!(
         steady.hits > warm.hits,

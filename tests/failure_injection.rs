@@ -326,7 +326,7 @@ fn aggregator_crash_mid_write_recovers_with_identical_bytes() {
         );
         assert!(
             total.integrity_verified > 0,
-            "{}: crash-gated payload checksums must be verified",
+            "{}: crash-gated message checksums must be verified",
             strategy.name()
         );
         assert_eq!(

@@ -216,8 +216,8 @@ fn schedule_matches_legacy_discovery() {
                 let windows = legacy_windows(&plan, r as u64);
                 let ctx = format!("case {case} rank {me} round {r}");
 
-                // Write direction: flows, destination order, section
-                // counts, and exact payload sizes.
+                // Write direction: flows, destination order, and exact
+                // wire sizes.
                 let (flows, per_dst) = legacy_client(&plan, &windows, &mine);
                 let got_flows: Vec<(usize, u64)> = rs
                     .client_windows
@@ -231,11 +231,6 @@ fn schedule_matches_legacy_discovery() {
                     "{ctx}: client destination order"
                 );
                 for (slot, (_, sections)) in per_dst.iter().enumerate() {
-                    assert_eq!(
-                        rs.client_dsts[slot].sections as usize,
-                        sections.len(),
-                        "{ctx}: section count"
-                    );
                     assert_eq!(
                         rs.client_dsts[slot].payload_bytes,
                         encoded_len(sections),
@@ -279,11 +274,32 @@ fn schedule_matches_legacy_discovery() {
                         union.total_bytes(),
                         "{ctx}: assembly size"
                     );
-                    let got: Vec<(usize, &ExtentList)> =
-                        ws.per_rank.iter().map(|p| (p.rank, &p.pieces)).collect();
-                    let want: Vec<(usize, &ExtentList)> =
-                        per_rank.iter().map(|(rk, p)| (*rk, p)).collect();
+                    let got: Vec<(usize, Vec<Extent>)> = ws
+                        .per_rank
+                        .iter()
+                        .map(|p| (p.rank, p.pieces.iter().map(|&(e, _)| e).collect()))
+                        .collect();
+                    let want: Vec<(usize, Vec<Extent>)> = per_rank
+                        .iter()
+                        .map(|(rk, p)| (*rk, p.as_slice().to_vec()))
+                        .collect();
                     assert_eq!(got, want, "{ctx}: per-rank pieces");
+                    // The aggregator addresses each contributor's bytes
+                    // exactly where that rank's own schedule puts them.
+                    for p in &ws.per_rank {
+                        let theirs = CommSchedule::build(
+                            &plan,
+                            &pattern,
+                            p.rank,
+                            &pattern.extents_of_rank(p.rank).to_list(),
+                        );
+                        let cw = theirs.rounds[r]
+                            .client_windows
+                            .iter()
+                            .find(|c| c.domain == ws.domain)
+                            .expect("contributor routes a piece to this window");
+                        assert_eq!(p.pieces, cw.pieces, "{ctx}: packed starts");
+                    }
                 }
             }
         }
